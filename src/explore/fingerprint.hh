@@ -86,6 +86,28 @@ techFingerprint(const TechParams &tech)
     return fnv1a(bytes, sizeof bytes);
 }
 
+/** Key for caches keyed on two fingerprints. */
+struct FingerprintPair
+{
+    uint64_t first = 0;
+    uint64_t second = 0;
+
+    bool operator==(const FingerprintPair &) const = default;
+};
+
+struct FingerprintPairHash
+{
+    size_t operator()(const FingerprintPair &k) const
+    {
+        // Splitmix-style combine; both halves are already hashes.
+        uint64_t x = k.first + 0x9e3779b97f4a7c15ull * k.second;
+        x ^= x >> 30;
+        x *= 0xbf58476d1ce4e5b9ull;
+        x ^= x >> 27;
+        return static_cast<size_t>(x);
+    }
+};
+
 } // namespace rissp::explore
 
 #endif // RISSP_EXPLORE_FINGERPRINT_HH

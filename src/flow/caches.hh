@@ -12,7 +12,7 @@
  * were originally private to the Explorer; lifting them here is what
  * makes the facade cheap to call repeatedly.
  *
- * All caches are thread-safe (see explore/memo.hh — their internal
+ * All caches are thread-safe (see flow/memo.hh — their internal
  * locking is capability-annotated, so misuse is a compile error on
  * Clang); a StageCaches can be shared freely across concurrent
  * requests.
@@ -42,7 +42,7 @@
 
 #include "compiler/driver.hh"
 #include "explore/fingerprint.hh"
-#include "explore/memo.hh"
+#include "flow/memo.hh"
 #include "store/artifact_store.hh"
 #include "synth/synthesis.hh"
 #include "util/status.hh"
@@ -78,17 +78,16 @@ struct StageCaches
     /** Key: workload/source fingerprint (name, text, opt level).
      *  Failed compilations are cached too — a service retrying a bad
      *  source pays for the diagnosis once. */
-    explore::MemoCache<uint64_t, Result<minic::CompileResult>>
-        compile;
+    MemoCache<uint64_t, Result<minic::CompileResult>> compile;
 
     /** Key: (subset fingerprint, workload fingerprint). */
-    explore::MemoCache<explore::FingerprintPair, SimOutcome,
-                       explore::FingerprintPairHash>
+    MemoCache<explore::FingerprintPair, SimOutcome,
+              explore::FingerprintPairHash>
         sim;
 
     /** Key: (subset fingerprint, tech fingerprint). */
-    explore::MemoCache<explore::FingerprintPair, SynthOutcome,
-                       explore::FingerprintPairHash>
+    MemoCache<explore::FingerprintPair, SynthOutcome,
+              explore::FingerprintPairHash>
         synth;
 
     /** Key: `synthReportKey` (design name + subset, tech). The
@@ -99,8 +98,8 @@ struct StageCaches
      *  synth requests for the same subset sweep it once, the other
      *  nine block on the first one's future. Impossible corners are
      *  cached as error values like failed compiles. */
-    explore::MemoCache<explore::FingerprintPair, Result<SynthReport>,
-                       explore::FingerprintPairHash>
+    MemoCache<explore::FingerprintPair, Result<SynthReport>,
+              explore::FingerprintPairHash>
         synthReport;
 
     /** Persistent tier under the memo caches; null = memory only.

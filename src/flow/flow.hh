@@ -24,7 +24,7 @@
  * verbs are `const`, all mutable state lives in the thread-safe
  * caches, so one instance can serve concurrent requests — the shape
  * a daemon or a sharded backend needs. The caches' internal locking
- * is capability-annotated (explore/memo.hh), so holding their locks
+ * is capability-annotated (flow/memo.hh), so holding their locks
  * wrongly is a compile error on Clang; the service itself keeps no
  * mutex — its only lazily written member is `stageScheduler`,
  * published by `std::call_once` (the one concurrency primitive here
@@ -320,18 +320,19 @@ struct ServiceOptions
 
 /** The facade. One instance serves any number of clients.
  *
- *  Requests can be served three ways, all against the same shared
- *  `StageCaches`:
- *   - the synchronous verbs below, on the caller's thread;
- *   - `submitAsync`, which decomposes the request into pipeline
- *     stages (compile → exec → cosim; compile → app synth ∥
- *     baselines → P&R; ...) on the service's work-stealing
- *     `exec::Scheduler` and returns a future;
+ *  Each verb is one static stage table (flow/service.cc): named
+ *  stages with dependency edges (compile → exec → cosim; subset →
+ *  app synth ∥ baselines → finish; ...). Requests can be served
+ *  three ways, all against the same shared `StageCaches`:
+ *   - the synchronous verbs and `dispatch`, which run the table
+ *     inline on the caller's thread, in table order;
+ *   - `submitAsync` / `dispatchAsync`, which submit one task per
+ *     stage to the service's work-stealing `exec::Scheduler`;
  *   - `runBatch`, which submits a mixed batch and collects the
  *     responses in request order.
- *  Both paths run the *same* stage functions, so a batched response
- *  is byte-identical to its synchronous twin; identical in-flight
- *  work is deduplicated by the promise-backed cache entries (ten
+ *  Every path runs the *same* table, so a batched response is
+ *  byte-identical to its synchronous twin; identical in-flight work
+ *  is deduplicated by the promise-backed cache entries (ten
  *  concurrent requests for the same subset compile — and sweep — it
  *  once). */
 class FlowService
@@ -368,8 +369,8 @@ class FlowService
     /** Serve any request synchronously on the caller's thread. */
     Response dispatch(const Request &request) const;
 
-    /** Submit a request onto the shared scheduler, decomposed into
-     *  its pipeline stages; returns immediately. The future carries
+    /** Submit a request onto the shared scheduler, one task per
+     *  stage of its table; returns immediately. The future carries
      *  the same response the synchronous verb would produce (errors
      *  stay values — the future only throws on an internal stage
      *  panic-equivalent exception). */
@@ -377,11 +378,11 @@ class FlowService
 
     /** The callback-based twin of submitAsync, for callers that hand
      *  completions back to an event loop (the serve reactor) instead
-     *  of blocking a thread on a future: the same stage
-     *  decomposition on the same scheduler, with @p done invoked
-     *  exactly once, on the worker that ran the final stage. Errors
-     *  stay values inside the response; an internal stage
-     *  panic-equivalent exception is folded into a response with
+     *  of blocking a thread on a future: the same stage tasks on
+     *  the same scheduler, with @p done invoked exactly once, on the
+     *  worker that ran the final stage. Errors stay values inside
+     *  the response; an internal stage panic-equivalent exception is
+     *  folded into a response of the request's own alternative with
      *  `ErrorCode::Internal` status rather than thrown (there is no
      *  future to carry it). */
     void dispatchAsync(Request request,
@@ -405,39 +406,6 @@ class FlowService
     exec::Scheduler &scheduler() const;
 
   private:
-    // Per-verb pipeline state shared by a verb's stage functions;
-    // the synchronous verbs call the stages in order, submitAsync
-    // wires the same stages into a scheduler dependency graph.
-    struct RunJob;
-    struct SynthJob;
-    struct RetargetJob;
-
-    void runCompileStage(RunJob &job) const;
-    void runExecStage(RunJob &job) const;
-    void runCosimStage(RunJob &job) const;
-
-    void synthSubsetStage(SynthJob &job) const;
-    void synthAppStage(SynthJob &job) const;
-    void synthBaselineStage(SynthJob &job) const;
-    void synthFinishStage(SynthJob &job) const;
-
-    void retargetCompileStage(RetargetJob &job) const;
-    void retargetRewriteStage(RetargetJob &job) const;
-    void retargetEquivalenceStage(RetargetJob &job) const;
-
-    /** The one async submission path: decompose @p request into its
-     *  stage graph on the shared scheduler; exactly one of the two
-     *  callbacks fires when the request settles. submitAsync and
-     *  dispatchAsync are both thin adapters over this. */
-    void submitStages(
-        Request request, std::function<void(Response)> on_done,
-        std::function<void(std::exception_ptr)> on_error) const;
-
-    /** Resolve + compile a source, memoized in the shared cache. */
-    Result<minic::CompileResult>
-    compileSource(const SourceRef &source, minic::OptLevel opt,
-                  const minic::MachineOptions &machine = {}) const;
-
     std::shared_ptr<StageCaches> stageCaches;
     unsigned schedulerThreads;
     /** stageScheduler is written exactly once, inside

@@ -8,10 +8,12 @@
  * distinct key is computed exactly once, `misses()` equals the number
  * of distinct keys and `hits()` is deterministic for a fixed plan no
  * matter how many worker threads race on the cache.
+ *
+ * Every instance lives in `flow::StageCaches` (flow/caches.hh).
  */
 
-#ifndef RISSP_EXPLORE_MEMO_HH
-#define RISSP_EXPLORE_MEMO_HH
+#ifndef RISSP_FLOW_MEMO_HH
+#define RISSP_FLOW_MEMO_HH
 
 #include <atomic>
 #include <cstdint>
@@ -21,30 +23,8 @@
 
 #include "util/mutex.hh"
 
-namespace rissp::explore
+namespace rissp::flow
 {
-
-/** Key for caches keyed on two fingerprints. */
-struct FingerprintPair
-{
-    uint64_t first = 0;
-    uint64_t second = 0;
-
-    bool operator==(const FingerprintPair &) const = default;
-};
-
-struct FingerprintPairHash
-{
-    size_t operator()(const FingerprintPair &k) const
-    {
-        // Splitmix-style combine; both halves are already hashes.
-        uint64_t x = k.first + 0x9e3779b97f4a7c15ull * k.second;
-        x ^= x >> 30;
-        x *= 0xbf58476d1ce4e5b9ull;
-        x ^= x >> 27;
-        return static_cast<size_t>(x);
-    }
-};
 
 /** Thread-safe exactly-once memoization of Key -> Value. */
 template <typename Key, typename Value,
@@ -138,6 +118,6 @@ class MemoCache
     std::atomic<uint64_t> missCount{0};
 };
 
-} // namespace rissp::explore
+} // namespace rissp::flow
 
-#endif // RISSP_EXPLORE_MEMO_HH
+#endif // RISSP_FLOW_MEMO_HH

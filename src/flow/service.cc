@@ -2,15 +2,17 @@
  * @file
  * FlowService implementation.
  *
- * Every multi-step verb is decomposed into *stage functions* over a
- * per-request job struct: the synchronous verb calls its stages in
- * order on the caller's thread, and `submitAsync` submits the same
- * stages to the shared `exec::Scheduler` with dependency edges — one
- * implementation, two execution disciplines, provably identical
- * responses. Each stage guards on the job's accumulated status, so a
- * failure short-circuits the remaining stages exactly like the old
- * early returns did, while every stage that did complete stays in
- * the response.
+ * Every verb is a static *stage table* over a per-request job
+ * struct: each entry names a stage, the function that runs it and
+ * the earlier entries it depends on. One runner executes a table in
+ * two ways — inline, in table order, for the synchronous verbs and
+ * `dispatch()`; or on the shared `exec::Scheduler`, one task per
+ * entry labelled with the entry's name, for `submitAsync` and
+ * `dispatchAsync`. Both run the same stage functions in an order the
+ * dependency edges allow, so the two disciplines produce identical
+ * responses by construction. Each stage guards on the job's
+ * accumulated status, so a failure short-circuits the remaining
+ * stages, while every stage that did complete stays in the response.
  */
 
 #include "flow/flow.hh"
@@ -29,6 +31,8 @@ namespace rissp::flow
 namespace
 {
 
+using Caches = std::shared_ptr<StageCaches>;
+
 void
 fillCompileStage(CompileStage &stage,
                  const minic::CompileResult &compiled,
@@ -40,6 +44,528 @@ fillCompileStage(CompileStage &stage,
     stage.textBytes = compiled.program.textSize;
     stage.helpers.assign(compiled.helpers.begin(),
                          compiled.helpers.end());
+}
+
+/** Resolve + compile a source, memoized in the shared cache. */
+Result<minic::CompileResult>
+compileSource(StageCaches &caches, const SourceRef &source,
+              minic::OptLevel opt,
+              const minic::MachineOptions &machine = {})
+{
+    const std::string *text = &source.text;
+    const std::string *label = &source.label;
+    if (!source.workload.empty()) {
+        const Workload *wl = findWorkload(source.workload);
+        if (!wl)
+            return Status::errorf(ErrorCode::NotFound,
+                                  "unknown workload '%s'",
+                                  source.workload.c_str());
+        text = &wl->source;
+        label = &wl->name;
+    }
+    const uint64_t key =
+        sourceKey(*label, *text, opt, machine.customMul);
+    return caches.compileLookup(key, [&] {
+        return minic::tryCompile(*text, opt, machine);
+    });
+}
+
+/** The pipeline state of one request: the request, the response its
+ *  stages fill in, and whatever scratch passes between stages.
+ *  Specialized per request type below, each with its stage table. */
+template <typename Req>
+struct Job;
+
+/** One entry of a verb's stage table. */
+template <typename Req>
+struct Stage
+{
+    const char *name; ///< the scheduler task label ("run:compile")
+    void (*fn)(const Caches &caches, Job<Req> &job);
+    std::vector<size_t> deps; ///< indices of earlier entries
+};
+
+/** A verb's stages in a topological order. The last entry is the
+ *  sink: it depends, directly or not, on every other entry, so its
+ *  completion settles the request. */
+template <typename Req>
+using StageTable = std::vector<Stage<Req>>;
+
+// --------------------------------------------------- characterize
+
+template <>
+struct Job<CharacterizeRequest>
+{
+    CharacterizeRequest request;
+    CharacterizeResponse response;
+    static const StageTable<CharacterizeRequest> stages;
+};
+
+void
+characterizeStage(const Caches &caches, Job<CharacterizeRequest> &job)
+{
+    const CharacterizeRequest &request = job.request;
+    const Result<minic::CompileResult> compiled = compileSource(
+        *caches, request.source, request.opt, request.machine);
+    if (!compiled) {
+        job.response.status = compiled.status();
+        return;
+    }
+    fillCompileStage(job.response.compile, compiled.value(),
+                     request.opt);
+    job.response.subset.run = true;
+    job.response.subset.subset =
+        InstrSubset::fromProgram(compiled.value().program);
+}
+
+const StageTable<CharacterizeRequest>
+    Job<CharacterizeRequest>::stages = {
+        {"characterize:compile", characterizeStage, {}},
+};
+
+// ------------------------------------------------------------ run
+
+template <>
+struct Job<RunRequest>
+{
+    RunRequest request;
+    RunResponse response;
+    std::optional<Result<minic::CompileResult>> compiled;
+    static const StageTable<RunRequest> stages;
+};
+
+void
+runCompileStage(const Caches &caches, Job<RunRequest> &job)
+{
+    job.compiled.emplace(
+        compileSource(*caches, job.request.source, job.request.opt));
+    if (!*job.compiled) {
+        job.response.status = job.compiled->status();
+        return;
+    }
+    fillCompileStage(job.response.compile, job.compiled->value(),
+                     job.request.opt);
+    job.response.subset.run = true;
+    job.response.subset.subset = job.request.subsetOverride
+        ? *job.request.subsetOverride
+        : InstrSubset::fromProgram(job.compiled->value().program);
+}
+
+void
+runExecStage(const Caches &, Job<RunRequest> &job)
+{
+    if (!job.response.status.isOk())
+        return;
+    const Program &program = job.compiled->value().program;
+    Rissp chip(job.response.subset.subset, "RISSP");
+    chip.reset(program);
+    const RunResult run = chip.run(job.request.maxSteps);
+    ExecStage &exec = job.response.exec;
+    exec.run = true;
+    exec.reason = run.reason;
+    exec.stopPc = run.stopPc;
+    exec.cycles = run.instret;
+    exec.exitCode = run.exitCode;
+    exec.outputWords = chip.outputWords();
+    exec.outputText = chip.outputText();
+
+    switch (run.reason) {
+      case StopReason::Trapped:
+        job.response.status = Status::errorf(
+            ErrorCode::Trap,
+            "trapped at pc=0x%x: instruction outside the subset",
+            run.stopPc);
+        break;
+      case StopReason::StepLimit:
+        job.response.status = Status::errorf(
+            ErrorCode::StepLimit,
+            "step limit of %llu cycles reached at pc=0x%x",
+            static_cast<unsigned long long>(job.request.maxSteps),
+            run.stopPc);
+        break;
+      default:
+        break;
+    }
+}
+
+void
+runCosimStage(const Caches &, Job<RunRequest> &job)
+{
+    // Skips after any upstream failure (including a trap or a step
+    // limit in the exec stage) and when verification wasn't asked
+    // for.
+    if (!job.response.status.isOk() || !job.request.verify)
+        return;
+    // cosimulate() re-executes DUT and reference lock-step from
+    // reset; a verified run therefore executes the program twice,
+    // like the Figure 4 flow it mirrors. Deriving the exec stage
+    // from the cosim pass would halve that.
+    CosimOptions options;
+    options.maxSteps = job.request.maxSteps;
+    options.fault = job.request.injectFault
+        ? &*job.request.injectFault : nullptr;
+    const CosimReport cosim =
+        cosimulate(job.compiled->value().program,
+                   job.response.subset.subset, options);
+    CosimStage &stage = job.response.cosim;
+    stage.run = true;
+    stage.passed = cosim.passed;
+    stage.instret = cosim.instret;
+    stage.rvfiEventsChecked = cosim.monitor.eventsChecked;
+    stage.firstDivergence = cosim.firstDivergence;
+    if (!cosim.passed) {
+        job.response.status = Status::error(
+            ErrorCode::CosimMismatch,
+            "co-simulation diverged: " + cosim.firstDivergence);
+    }
+}
+
+const StageTable<RunRequest> Job<RunRequest>::stages = {
+    {"run:compile", runCompileStage, {}},
+    {"run:exec", runExecStage, {0}},
+    {"run:cosim", runCosimStage, {1}},
+};
+
+// ---------------------------------------------------------- synth
+
+template <>
+struct Job<SynthRequest>
+{
+    SynthRequest request;
+    SynthResponse response;
+    /** Raw sweep results; applied to the response in deterministic
+     *  order by the finish stage, so the app and baseline sweeps
+     *  may run on different workers. */
+    std::optional<Result<SynthReport>> app;
+    std::optional<Result<SynthReport>> fullIsa;
+    std::optional<SynthReport> serv;
+    static const StageTable<SynthRequest> stages;
+};
+
+void
+synthSubsetStage(const Caches &caches, Job<SynthRequest> &job)
+{
+    job.response.subset.run = true;
+    if (job.request.subsetOverride) {
+        job.response.subset.subset = *job.request.subsetOverride;
+        return;
+    }
+    const Result<minic::CompileResult> compiled =
+        compileSource(*caches, job.request.source, job.request.opt);
+    if (!compiled) {
+        job.response.status = compiled.status();
+        return;
+    }
+    fillCompileStage(job.response.compile, compiled.value(),
+                     job.request.opt);
+    job.response.subset.subset =
+        InstrSubset::fromProgram(compiled.value().program);
+}
+
+void
+synthAppStage(const Caches &caches, Job<SynthRequest> &job)
+{
+    if (!job.response.status.isOk())
+        return;
+    const Technology &tech = job.request.tech.tech;
+    const InstrSubset &subset = job.response.subset.subset;
+    job.app = caches->synthReportLookup(
+        synthReportKey(job.request.name,
+                       explore::subsetFingerprint(subset),
+                       explore::techFingerprint(tech)),
+        [&] {
+            return SynthesisModel(tech).trySynthesize(
+                subset, job.request.name);
+        });
+}
+
+void
+synthBaselineStage(const Caches &caches, Job<SynthRequest> &job)
+{
+    // Independent of the app sweep, so it may run concurrently with
+    // it: it only reads the tech and writes its own job slots, and
+    // the finish stage discards its results if the app sweep failed.
+    if (!job.response.status.isOk() || !job.request.baselines)
+        return;
+    const Technology &tech = job.request.tech.tech;
+    const InstrSubset full = InstrSubset::fullRv32e();
+    job.fullIsa = caches->synthReportLookup(
+        synthReportKey("RISSP-RV32E",
+                       explore::subsetFingerprint(full),
+                       explore::techFingerprint(tech)),
+        [&] {
+            return SynthesisModel(tech).trySynthesize(full,
+                                                      "RISSP-RV32E");
+        });
+    if (*job.fullIsa)
+        job.serv = ServModel(tech).synthReport();
+}
+
+void
+synthFinishStage(const Caches &, Job<SynthRequest> &job)
+{
+    if (!job.response.status.isOk())
+        return;
+    if (!*job.app) {
+        job.response.status = job.app->status();
+        return;
+    }
+    SynthStage &synth = job.response.synth;
+    synth.run = true;
+    synth.tech = job.request.tech.tech.name;
+    // The job's results are detached copies of the cache entries
+    // and dead after this stage: move the sweep vectors out.
+    synth.app = job.app->take();
+
+    if (job.request.baselines) {
+        if (!*job.fullIsa) {
+            // The corner is so hostile even the baseline fails; the
+            // app numbers above still stand.
+            job.response.status = job.fullIsa->status();
+            return;
+        }
+        synth.baselinesRun = true;
+        synth.fullIsa = job.fullIsa->take();
+        synth.serv = std::move(*job.serv);
+    }
+
+    if (job.request.physical) {
+        const PhysicalModel phys(job.request.tech.tech);
+        job.response.phys.run = true;
+        job.response.phys.report =
+            phys.implement(synth.app, job.request.rfStyle);
+    }
+}
+
+const StageTable<SynthRequest> Job<SynthRequest>::stages = {
+    {"synth:subset", synthSubsetStage, {}},
+    {"synth:app", synthAppStage, {0}},
+    {"synth:baselines", synthBaselineStage, {0}},
+    {"synth:finish", synthFinishStage, {1, 2}},
+};
+
+// ------------------------------------------------------- retarget
+
+template <>
+struct Job<RetargetRequest>
+{
+    RetargetRequest request;
+    RetargetResponse response;
+    std::optional<Result<minic::CompileResult>> compiled;
+    InstrSubset target;
+    static const StageTable<RetargetRequest> stages;
+};
+
+void
+retargetCompileStage(const Caches &caches, Job<RetargetRequest> &job)
+{
+    job.compiled.emplace(
+        compileSource(*caches, job.request.source, job.request.opt));
+    if (!*job.compiled) {
+        job.response.status = job.compiled->status();
+        return;
+    }
+    fillCompileStage(job.response.compile, job.compiled->value(),
+                     job.request.opt);
+}
+
+void
+retargetRewriteStage(const Caches &, Job<RetargetRequest> &job)
+{
+    if (!job.response.status.isOk())
+        return;
+    job.target = job.request.target
+        ? *job.request.target : Retargeter::minimalSubset();
+    const Status valid = Retargeter::validateTarget(job.target);
+    if (!valid) {
+        job.response.status = valid;
+        return;
+    }
+    Retargeter tool(job.target);
+    job.response.retarget.run = true;
+    job.response.retarget.result =
+        tool.retarget(job.compiled->value().program);
+    const RetargetResult &result = job.response.retarget.result;
+    if (!result.ok) {
+        job.response.status = Status::error(ErrorCode::RetargetError,
+                                            result.error);
+    }
+}
+
+void
+retargetEquivalenceStage(const Caches &, Job<RetargetRequest> &job)
+{
+    if (!job.response.status.isOk() ||
+        !job.request.verifyEquivalence) {
+        return;
+    }
+    const Program &program = job.compiled->value().program;
+    RefSim golden;
+    golden.reset(program);
+    const RunResult want = golden.run(job.request.maxSteps);
+    Rissp chip(job.target, "retarget-dut");
+    chip.reset(job.response.retarget.result.program);
+    const RunResult got = chip.run(job.request.maxSteps);
+
+    EquivalenceStage &eq = job.response.equivalence;
+    eq.run = true;
+    eq.refReason = want.reason;
+    eq.dutReason = got.reason;
+    eq.refExit = want.exitCode;
+    eq.dutExit = got.exitCode;
+    eq.matched = want.reason == got.reason &&
+        want.exitCode == got.exitCode &&
+        golden.outputWords() == chip.outputWords();
+    if (!eq.matched) {
+        job.response.status = Status::error(
+            ErrorCode::CosimMismatch,
+            "retargeted program diverges from the original");
+    }
+}
+
+const StageTable<RetargetRequest> Job<RetargetRequest>::stages = {
+    {"retarget:compile", retargetCompileStage, {}},
+    {"retarget:rewrite", retargetRewriteStage, {0}},
+    {"retarget:equivalence", retargetEquivalenceStage, {1}},
+};
+
+// -------------------------------------------------------- explore
+
+template <>
+struct Job<ExploreRequest>
+{
+    ExploreRequest request;
+    ExploreResponse response;
+    static const StageTable<ExploreRequest> stages;
+};
+
+/** One stage: the sweep parallelizes internally through the
+ *  Explorer's own task graph. */
+void
+exploreStage(const Caches &caches, Job<ExploreRequest> &job)
+{
+    ExploreResponse &response = job.response;
+    if (job.request.plan) {
+        response.plan = *job.request.plan;
+    } else {
+        Result<explore::ExplorationPlan> parsed =
+            explore::ExplorationPlan::parse(job.request.planText);
+        if (!parsed) {
+            response.status = parsed.status();
+            return;
+        }
+        response.plan = parsed.take();
+    }
+    const Status valid = response.plan.validate();
+    if (!valid) {
+        response.status = valid;
+        return;
+    }
+
+    explore::Explorer explorer(job.request.options, caches);
+    response.table = explorer.explore(response.plan);
+    response.stats = explorer.stats();
+}
+
+const StageTable<ExploreRequest> Job<ExploreRequest>::stages = {
+    {"explore:sweep", exploreStage, {}},
+};
+
+// --------------------------------------------------------- runner
+
+/** Run @p request's table inline on the caller's thread, in table
+ *  order; a stage exception propagates to the caller. */
+template <typename Req>
+auto
+runInline(const Caches &caches, const Req &request)
+{
+    Job<Req> job;
+    job.request = request;
+    for (const Stage<Req> &stage : Job<Req>::stages)
+        stage.fn(caches, job);
+    return std::move(job.response);
+}
+
+Status
+statusFromException(const std::exception_ptr &error)
+{
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception &ex) {
+        return Status::errorf(ErrorCode::Internal,
+                              "internal error: %s", ex.what());
+    } catch (...) {
+        return Status::error(ErrorCode::Internal, "internal error");
+    }
+}
+
+/** How an async request settles, exactly once: with the sink's
+ *  response and a null exception, or — when a stage throws — with a
+ *  response of the request's own alternative carrying an Internal
+ *  status, plus the exception. */
+using Settle = std::function<void(Response, std::exception_ptr)>;
+
+/** A job in flight on the scheduler, shared by its stage tasks. */
+template <typename Req>
+struct AsyncJob
+{
+    Job<Req> job;
+    Settle settle;
+    std::atomic<bool> settled{false};
+};
+
+/** Submit one task per table entry, labelled with the entry's name
+ *  and wired to its dependencies; returns immediately. A throwing
+ *  stage settles the request, and the exception then also
+ *  propagates to the scheduler, so dependent stages are skipped. */
+template <typename Req>
+void
+submitStages(exec::Scheduler &sched, const Caches &caches,
+             Req request, Settle settle)
+{
+    auto state = std::make_shared<AsyncJob<Req>>();
+    state->job.request = std::move(request);
+    state->settle = std::move(settle);
+    const StageTable<Req> &table = Job<Req>::stages;
+    std::vector<exec::Scheduler::Handle> handles;
+    handles.reserve(table.size());
+    for (const Stage<Req> &stage : table) {
+        std::vector<exec::Scheduler::Handle> deps;
+        for (size_t dep : stage.deps)
+            deps.push_back(handles[dep]);
+        const bool sink = handles.size() + 1 == table.size();
+        handles.push_back(sched.submit(
+            [state, &caches, fn = stage.fn, sink] {
+                try {
+                    fn(caches, state->job);
+                } catch (...) {
+                    if (!state->settled.exchange(true)) {
+                        decltype(state->job.response) failed;
+                        failed.status = statusFromException(
+                            std::current_exception());
+                        state->settle(std::move(failed),
+                                      std::current_exception());
+                    }
+                    throw;
+                }
+                if (sink && !state->settled.exchange(true))
+                    state->settle(std::move(state->job.response),
+                                  nullptr);
+            },
+            deps, stage.name));
+    }
+}
+
+void
+submitRequest(exec::Scheduler &sched, const Caches &caches,
+              Request request, Settle settle)
+{
+    std::visit(
+        [&](auto &&r) {
+            submitStages(sched, caches, std::move(r),
+                         std::move(settle));
+        },
+        std::move(request));
 }
 
 } // namespace
@@ -89,638 +615,44 @@ FlowService::scheduler() const
     return *stageScheduler;
 }
 
-Result<minic::CompileResult>
-FlowService::compileSource(const SourceRef &source,
-                           minic::OptLevel opt,
-                           const minic::MachineOptions &machine) const
-{
-    const std::string *text = &source.text;
-    const std::string *label = &source.label;
-    if (!source.workload.empty()) {
-        const Workload *wl = findWorkload(source.workload);
-        if (!wl)
-            return Status::errorf(ErrorCode::NotFound,
-                                  "unknown workload '%s'",
-                                  source.workload.c_str());
-        text = &wl->source;
-        label = &wl->name;
-    }
-    const uint64_t key =
-        sourceKey(*label, *text, opt, machine.customMul);
-    return stageCaches->compileLookup(key, [&] {
-        return minic::tryCompile(*text, opt, machine);
-    });
-}
-
-// --------------------------------------------------- characterize
-
 CharacterizeResponse
 FlowService::characterize(const CharacterizeRequest &request) const
 {
-    CharacterizeResponse response;
-    const Result<minic::CompileResult> compiled =
-        compileSource(request.source, request.opt, request.machine);
-    if (!compiled) {
-        response.status = compiled.status();
-        return response;
-    }
-    fillCompileStage(response.compile, compiled.value(),
-                     request.opt);
-    response.subset.run = true;
-    response.subset.subset =
-        InstrSubset::fromProgram(compiled.value().program);
-    return response;
-}
-
-// ------------------------------------------------------------ run
-
-struct FlowService::RunJob
-{
-    RunRequest request;
-    RunResponse response;
-    std::optional<Result<minic::CompileResult>> compiled;
-};
-
-void
-FlowService::runCompileStage(RunJob &job) const
-{
-    job.compiled.emplace(
-        compileSource(job.request.source, job.request.opt));
-    if (!*job.compiled) {
-        job.response.status = job.compiled->status();
-        return;
-    }
-    fillCompileStage(job.response.compile, job.compiled->value(),
-                     job.request.opt);
-    job.response.subset.run = true;
-    job.response.subset.subset = job.request.subsetOverride
-        ? *job.request.subsetOverride
-        : InstrSubset::fromProgram(job.compiled->value().program);
-}
-
-void
-FlowService::runExecStage(RunJob &job) const
-{
-    if (!job.response.status.isOk())
-        return;
-    const Program &program = job.compiled->value().program;
-    Rissp chip(job.response.subset.subset, "RISSP");
-    chip.reset(program);
-    const RunResult run = chip.run(job.request.maxSteps);
-    ExecStage &exec = job.response.exec;
-    exec.run = true;
-    exec.reason = run.reason;
-    exec.stopPc = run.stopPc;
-    exec.cycles = run.instret;
-    exec.exitCode = run.exitCode;
-    exec.outputWords = chip.outputWords();
-    exec.outputText = chip.outputText();
-
-    switch (run.reason) {
-      case StopReason::Trapped:
-        job.response.status = Status::errorf(
-            ErrorCode::Trap,
-            "trapped at pc=0x%x: instruction outside the subset",
-            run.stopPc);
-        break;
-      case StopReason::StepLimit:
-        job.response.status = Status::errorf(
-            ErrorCode::StepLimit,
-            "step limit of %llu cycles reached at pc=0x%x",
-            static_cast<unsigned long long>(job.request.maxSteps),
-            run.stopPc);
-        break;
-      default:
-        break;
-    }
-}
-
-void
-FlowService::runCosimStage(RunJob &job) const
-{
-    // Skips after any upstream failure (including a trap or a step
-    // limit in the exec stage) and when verification wasn't asked
-    // for — the same paths the synchronous early returns took.
-    if (!job.response.status.isOk() || !job.request.verify)
-        return;
-    // cosimulate() re-executes DUT and reference lock-step from
-    // reset; a verified run therefore executes the program twice,
-    // like the Figure 4 flow it mirrors. Deriving the exec stage
-    // from the cosim pass would halve that.
-    CosimOptions options;
-    options.maxSteps = job.request.maxSteps;
-    options.fault = job.request.injectFault
-        ? &*job.request.injectFault : nullptr;
-    const CosimReport cosim =
-        cosimulate(job.compiled->value().program,
-                   job.response.subset.subset, options);
-    CosimStage &stage = job.response.cosim;
-    stage.run = true;
-    stage.passed = cosim.passed;
-    stage.instret = cosim.instret;
-    stage.rvfiEventsChecked = cosim.monitor.eventsChecked;
-    stage.firstDivergence = cosim.firstDivergence;
-    if (!cosim.passed) {
-        job.response.status = Status::error(
-            ErrorCode::CosimMismatch,
-            "co-simulation diverged: " + cosim.firstDivergence);
-    }
+    return runInline(stageCaches, request);
 }
 
 RunResponse
 FlowService::run(const RunRequest &request) const
 {
-    RunJob job;
-    job.request = request;
-    runCompileStage(job);
-    runExecStage(job);
-    runCosimStage(job);
-    return std::move(job.response);
-}
-
-// ---------------------------------------------------------- synth
-
-struct FlowService::SynthJob
-{
-    SynthRequest request;
-    SynthResponse response;
-    /** Raw sweep results; applied to the response in deterministic
-     *  order by the finish stage, so the app and baseline sweeps
-     *  may run on different workers. */
-    std::optional<Result<SynthReport>> app;
-    std::optional<Result<SynthReport>> fullIsa;
-    std::optional<SynthReport> serv;
-};
-
-void
-FlowService::synthSubsetStage(SynthJob &job) const
-{
-    job.response.subset.run = true;
-    if (job.request.subsetOverride) {
-        job.response.subset.subset = *job.request.subsetOverride;
-        return;
-    }
-    const Result<minic::CompileResult> compiled =
-        compileSource(job.request.source, job.request.opt);
-    if (!compiled) {
-        job.response.status = compiled.status();
-        return;
-    }
-    fillCompileStage(job.response.compile, compiled.value(),
-                     job.request.opt);
-    job.response.subset.subset =
-        InstrSubset::fromProgram(compiled.value().program);
-}
-
-void
-FlowService::synthAppStage(SynthJob &job) const
-{
-    if (!job.response.status.isOk())
-        return;
-    const Technology &tech = job.request.tech.tech;
-    const InstrSubset &subset = job.response.subset.subset;
-    job.app = stageCaches->synthReportLookup(
-        synthReportKey(job.request.name,
-                       explore::subsetFingerprint(subset),
-                       explore::techFingerprint(tech)),
-        [&] {
-            return SynthesisModel(tech).trySynthesize(
-                subset, job.request.name);
-        });
-}
-
-void
-FlowService::synthBaselineStage(SynthJob &job) const
-{
-    // Runs concurrently with the app sweep under submitAsync; it
-    // only reads the tech and writes its own job slots, and the
-    // finish stage discards its results if the app sweep failed —
-    // matching the synchronous "baselines only after the app"
-    // response shape exactly.
-    if (!job.response.status.isOk() || !job.request.baselines)
-        return;
-    const Technology &tech = job.request.tech.tech;
-    const InstrSubset full = InstrSubset::fullRv32e();
-    job.fullIsa = stageCaches->synthReportLookup(
-        synthReportKey("RISSP-RV32E",
-                       explore::subsetFingerprint(full),
-                       explore::techFingerprint(tech)),
-        [&] {
-            return SynthesisModel(tech).trySynthesize(full,
-                                                      "RISSP-RV32E");
-        });
-    if (*job.fullIsa)
-        job.serv = ServModel(tech).synthReport();
-}
-
-void
-FlowService::synthFinishStage(SynthJob &job) const
-{
-    if (!job.response.status.isOk())
-        return;
-    if (!*job.app) {
-        job.response.status = job.app->status();
-        return;
-    }
-    SynthStage &synth = job.response.synth;
-    synth.run = true;
-    synth.tech = job.request.tech.tech.name;
-    // The job's results are detached copies of the cache entries
-    // and dead after this stage: move the sweep vectors out.
-    synth.app = job.app->take();
-
-    if (job.request.baselines) {
-        if (!*job.fullIsa) {
-            // The corner is so hostile even the baseline fails; the
-            // app numbers above still stand.
-            job.response.status = job.fullIsa->status();
-            return;
-        }
-        synth.baselinesRun = true;
-        synth.fullIsa = job.fullIsa->take();
-        synth.serv = std::move(*job.serv);
-    }
-
-    if (job.request.physical) {
-        const PhysicalModel phys(job.request.tech.tech);
-        job.response.phys.run = true;
-        job.response.phys.report =
-            phys.implement(synth.app, job.request.rfStyle);
-    }
+    return runInline(stageCaches, request);
 }
 
 SynthResponse
 FlowService::synth(const SynthRequest &request) const
 {
-    SynthJob job;
-    job.request = request;
-    synthSubsetStage(job);
-    synthAppStage(job);
-    // The async graph runs the baseline sweep concurrently with the
-    // app sweep and lets the finish stage discard it on app failure;
-    // here the app outcome is already known, so a failed app skips
-    // the baselines entirely (the old early-return behavior).
-    if (!job.app || job.app->isOk())
-        synthBaselineStage(job);
-    synthFinishStage(job);
-    return std::move(job.response);
-}
-
-// ------------------------------------------------------- retarget
-
-struct FlowService::RetargetJob
-{
-    RetargetRequest request;
-    RetargetResponse response;
-    std::optional<Result<minic::CompileResult>> compiled;
-    InstrSubset target;
-};
-
-void
-FlowService::retargetCompileStage(RetargetJob &job) const
-{
-    job.compiled.emplace(
-        compileSource(job.request.source, job.request.opt));
-    if (!*job.compiled) {
-        job.response.status = job.compiled->status();
-        return;
-    }
-    fillCompileStage(job.response.compile, job.compiled->value(),
-                     job.request.opt);
-}
-
-void
-FlowService::retargetRewriteStage(RetargetJob &job) const
-{
-    if (!job.response.status.isOk())
-        return;
-    job.target = job.request.target
-        ? *job.request.target : Retargeter::minimalSubset();
-    const Status valid = Retargeter::validateTarget(job.target);
-    if (!valid) {
-        job.response.status = valid;
-        return;
-    }
-    Retargeter tool(job.target);
-    job.response.retarget.run = true;
-    job.response.retarget.result =
-        tool.retarget(job.compiled->value().program);
-    const RetargetResult &result = job.response.retarget.result;
-    if (!result.ok) {
-        job.response.status = Status::error(ErrorCode::RetargetError,
-                                            result.error);
-    }
-}
-
-void
-FlowService::retargetEquivalenceStage(RetargetJob &job) const
-{
-    if (!job.response.status.isOk() ||
-        !job.request.verifyEquivalence) {
-        return;
-    }
-    const Program &program = job.compiled->value().program;
-    RefSim golden;
-    golden.reset(program);
-    const RunResult want = golden.run(job.request.maxSteps);
-    Rissp chip(job.target, "retarget-dut");
-    chip.reset(job.response.retarget.result.program);
-    const RunResult got = chip.run(job.request.maxSteps);
-
-    EquivalenceStage &eq = job.response.equivalence;
-    eq.run = true;
-    eq.refReason = want.reason;
-    eq.dutReason = got.reason;
-    eq.refExit = want.exitCode;
-    eq.dutExit = got.exitCode;
-    eq.matched = want.reason == got.reason &&
-        want.exitCode == got.exitCode &&
-        golden.outputWords() == chip.outputWords();
-    if (!eq.matched) {
-        job.response.status = Status::error(
-            ErrorCode::CosimMismatch,
-            "retargeted program diverges from the original");
-    }
+    return runInline(stageCaches, request);
 }
 
 RetargetResponse
 FlowService::retarget(const RetargetRequest &request) const
 {
-    RetargetJob job;
-    job.request = request;
-    retargetCompileStage(job);
-    retargetRewriteStage(job);
-    retargetEquivalenceStage(job);
-    return std::move(job.response);
+    return runInline(stageCaches, request);
 }
-
-// -------------------------------------------------------- explore
 
 ExploreResponse
 FlowService::explore(const ExploreRequest &request) const
 {
-    ExploreResponse response;
-    if (request.plan) {
-        response.plan = *request.plan;
-    } else {
-        Result<explore::ExplorationPlan> parsed =
-            explore::ExplorationPlan::parse(request.planText);
-        if (!parsed) {
-            response.status = parsed.status();
-            return response;
-        }
-        response.plan = parsed.take();
-    }
-    const Status valid = response.plan.validate();
-    if (!valid) {
-        response.status = valid;
-        return response;
-    }
-
-    explore::Explorer explorer(request.options, stageCaches);
-    response.table = explorer.explore(response.plan);
-    response.stats = explorer.stats();
-    return response;
+    return runInline(stageCaches, request);
 }
-
-// -------------------------------------------------- async / batch
 
 Response
 FlowService::dispatch(const Request &request) const
 {
     return std::visit(
         [this](const auto &r) -> Response {
-            using R = std::decay_t<decltype(r)>;
-            if constexpr (std::is_same_v<R, CharacterizeRequest>)
-                return characterize(r);
-            else if constexpr (std::is_same_v<R, RunRequest>)
-                return run(r);
-            else if constexpr (std::is_same_v<R, SynthRequest>)
-                return synth(r);
-            else if constexpr (std::is_same_v<R, RetargetRequest>)
-                return retarget(r);
-            else
-                return explore(r);
+            return runInline(stageCaches, r);
         },
         request);
-}
-
-namespace
-{
-
-/** Shared state of one in-flight async request: the job, the
- *  settlement callbacks, and a once-latch so that whichever stage
- *  settles the request first — the finish stage or a throwing
- *  stage — is the only caller of a callback. The callbacks are how
- *  both async front ends share this machinery: submitAsync plugs a
- *  promise in, dispatchAsync a completion handler. */
-template <typename Job>
-struct AsyncState
-{
-    Job job;
-    std::function<void(Response)> onDone;
-    std::function<void(std::exception_ptr)> onError;
-    std::atomic<bool> settled{false};
-
-    void
-    finish()
-    {
-        if (!settled.exchange(true))
-            onDone(Response(std::move(job.response)));
-    }
-
-    /** Called from a stage's catch block; the exception also
-     *  propagates to the scheduler so dependent stages are
-     *  skipped. */
-    void
-    fail()
-    {
-        if (!settled.exchange(true))
-            onError(std::current_exception());
-    }
-};
-
-/** Wrap a stage so an escaping exception settles the request's
- *  future (errors-as-values never throw; this guards internal
- *  bugs from turning into a never-ready future). */
-template <typename Job>
-exec::TaskFn
-guarded(std::shared_ptr<AsyncState<Job>> state,
-        void (FlowService::*stage)(Job &) const,
-        const FlowService *service)
-{
-    return [state, stage, service] {
-        try {
-            (service->*stage)(state->job);
-        } catch (...) {
-            state->fail();
-            throw;
-        }
-    };
-}
-
-/** A default-constructed response of the same alternative as the
- *  request at @p request_index, carrying @p status — how an internal
- *  stage panic is folded into the errors-as-values contract when
- *  there is no future to carry the exception. */
-Response
-internalErrorResponse(size_t request_index, Status status)
-{
-    switch (request_index) {
-      case 0: {
-        CharacterizeResponse response;
-        response.status = std::move(status);
-        return response;
-      }
-      case 1: {
-        RunResponse response;
-        response.status = std::move(status);
-        return response;
-      }
-      case 2: {
-        SynthResponse response;
-        response.status = std::move(status);
-        return response;
-      }
-      case 3: {
-        RetargetResponse response;
-        response.status = std::move(status);
-        return response;
-      }
-      default: {
-        ExploreResponse response;
-        response.status = std::move(status);
-        return response;
-      }
-    }
-}
-
-Status
-statusFromException(const std::exception_ptr &error)
-{
-    try {
-        std::rethrow_exception(error);
-    } catch (const std::exception &ex) {
-        return Status::errorf(ErrorCode::Internal,
-                              "internal error: %s", ex.what());
-    } catch (...) {
-        return Status::error(ErrorCode::Internal, "internal error");
-    }
-}
-
-} // namespace
-
-void
-FlowService::submitStages(
-    Request request, std::function<void(Response)> on_done,
-    std::function<void(std::exception_ptr)> on_error) const
-{
-    exec::Scheduler &sched = scheduler();
-
-    // Single-stage requests (characterize resolves in one step;
-    // explore parallelizes internally through its own graph) run as
-    // one task; the multi-stage verbs decompose so the scheduler can
-    // interleave their stages with other requests' — and so two
-    // requests hitting the same promise-backed cache entry share the
-    // computation instead of queueing it twice.
-    std::visit(
-        [this, &sched, &on_done, &on_error](auto &&req) {
-            using R = std::decay_t<decltype(req)>;
-            if constexpr (std::is_same_v<R, RunRequest>) {
-                auto state = std::make_shared<AsyncState<RunJob>>();
-                state->job.request = std::move(req);
-                state->onDone = std::move(on_done);
-                state->onError = std::move(on_error);
-                auto compile = sched.submit(
-                    guarded(state, &FlowService::runCompileStage,
-                            this),
-                    {}, "run:compile");
-                auto exec = sched.submit(
-                    guarded(state, &FlowService::runExecStage, this),
-                    {compile}, "run:exec");
-                sched.submit(
-                    [this, state] {
-                        try {
-                            runCosimStage(state->job);
-                            state->finish();
-                        } catch (...) {
-                            state->fail();
-                            throw;
-                        }
-                    },
-                    {exec}, "run:cosim");
-            } else if constexpr (std::is_same_v<R, SynthRequest>) {
-                auto state =
-                    std::make_shared<AsyncState<SynthJob>>();
-                state->job.request = std::move(req);
-                state->onDone = std::move(on_done);
-                state->onError = std::move(on_error);
-                auto subset = sched.submit(
-                    guarded(state, &FlowService::synthSubsetStage,
-                            this),
-                    {}, "synth:subset");
-                auto app = sched.submit(
-                    guarded(state, &FlowService::synthAppStage,
-                            this),
-                    {subset}, "synth:app");
-                auto baselines = sched.submit(
-                    guarded(state, &FlowService::synthBaselineStage,
-                            this),
-                    {subset}, "synth:baselines");
-                sched.submit(
-                    [this, state] {
-                        try {
-                            synthFinishStage(state->job);
-                            state->finish();
-                        } catch (...) {
-                            state->fail();
-                            throw;
-                        }
-                    },
-                    {app, baselines}, "synth:finish");
-            } else if constexpr (std::is_same_v<R,
-                                                RetargetRequest>) {
-                auto state =
-                    std::make_shared<AsyncState<RetargetJob>>();
-                state->job.request = std::move(req);
-                state->onDone = std::move(on_done);
-                state->onError = std::move(on_error);
-                auto compile = sched.submit(
-                    guarded(state, &FlowService::retargetCompileStage,
-                            this),
-                    {}, "retarget:compile");
-                auto rewrite = sched.submit(
-                    guarded(state, &FlowService::retargetRewriteStage,
-                            this),
-                    {compile}, "retarget:rewrite");
-                sched.submit(
-                    [this, state] {
-                        try {
-                            retargetEquivalenceStage(state->job);
-                            state->finish();
-                        } catch (...) {
-                            state->fail();
-                            throw;
-                        }
-                    },
-                    {rewrite}, "retarget:equivalence");
-            } else {
-                // Characterize / Explore: one task.
-                sched.submit(
-                    [this, req = std::move(req),
-                     done = std::move(on_done),
-                     fail = std::move(on_error)] {
-                        try {
-                            done(dispatch(req));
-                        } catch (...) {
-                            fail(std::current_exception());
-                            throw;
-                        }
-                    },
-                    {}, "flow:request");
-            }
-        },
-        std::move(request));
 }
 
 std::future<Response>
@@ -728,14 +660,14 @@ FlowService::submitAsync(Request request) const
 {
     auto promise = std::make_shared<std::promise<Response>>();
     std::future<Response> future = promise->get_future();
-    submitStages(
-        std::move(request),
-        [promise](Response response) {
-            promise->set_value(std::move(response));
-        },
-        [promise](std::exception_ptr error) {
-            promise->set_exception(std::move(error));
-        });
+    submitRequest(scheduler(), stageCaches, std::move(request),
+                  [promise](Response response,
+                            std::exception_ptr error) {
+                      if (error)
+                          promise->set_exception(std::move(error));
+                      else
+                          promise->set_value(std::move(response));
+                  });
     return future;
 }
 
@@ -743,19 +675,11 @@ void
 FlowService::dispatchAsync(Request request,
                            std::function<void(Response)> done) const
 {
-    const size_t which = request.index();
-    auto shared =
-        std::make_shared<std::function<void(Response)>>(
-            std::move(done));
-    submitStages(
-        std::move(request),
-        [shared](Response response) {
-            (*shared)(std::move(response));
-        },
-        [shared, which](std::exception_ptr error) {
-            (*shared)(internalErrorResponse(
-                which, statusFromException(error)));
-        });
+    submitRequest(scheduler(), stageCaches, std::move(request),
+                  [done = std::move(done)](Response response,
+                                           std::exception_ptr) {
+                      done(std::move(response));
+                  });
 }
 
 std::vector<Response>

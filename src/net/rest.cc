@@ -1,7 +1,8 @@
 #include "net/rest.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <initializer_list>
+#include <vector>
 
 namespace rissp::net
 {
@@ -9,23 +10,16 @@ namespace rissp::net
 namespace
 {
 
-/** Reject members outside @p allowed, naming the first offender. */
+/** Reject members outside @p verb's schema, naming the first
+ *  offender. */
 Status
-checkFields(const JsonValue &body,
-            std::initializer_list<const char *> allowed)
+checkFields(const JsonValue &body, Verb verb)
 {
-    for (const JsonValue::Member &member : body.members()) {
-        bool known = false;
-        for (const char *name : allowed)
-            if (member.first == name) {
-                known = true;
-                break;
-            }
-        if (!known)
+    for (const JsonValue::Member &member : body.members())
+        if (!hasField(verb, member.first))
             return Status::errorf(ErrorCode::InvalidArgument,
                                   "unknown field '%s'",
                                   member.first.c_str());
-    }
     return Status::ok();
 }
 
@@ -153,10 +147,6 @@ subsetField(const JsonValue &body, const char *name)
 Result<flow::Request>
 characterizeFromJson(const JsonValue &body)
 {
-    Status fields =
-        checkFields(body, {"workload", "source", "label", "opt"});
-    if (!fields.isOk())
-        return fields;
     Result<flow::SourceRef> source = sourceFromJson(body);
     if (!source)
         return source.status();
@@ -172,11 +162,6 @@ characterizeFromJson(const JsonValue &body)
 Result<flow::Request>
 runFromJson(const JsonValue &body)
 {
-    Status fields =
-        checkFields(body, {"workload", "source", "label", "opt",
-                           "verify", "max_steps", "subset"});
-    if (!fields.isOk())
-        return fields;
     Result<flow::SourceRef> source = sourceFromJson(body);
     if (!source)
         return source.status();
@@ -206,11 +191,6 @@ runFromJson(const JsonValue &body)
 Result<flow::Request>
 synthFromJson(const JsonValue &body)
 {
-    Status fields = checkFields(
-        body, {"workload", "source", "label", "opt", "name", "tech",
-               "baselines", "physical", "subset"});
-    if (!fields.isOk())
-        return fields;
     Result<flow::SourceRef> source = sourceFromJson(body);
     if (!source)
         return source.status();
@@ -256,11 +236,6 @@ synthFromJson(const JsonValue &body)
 Result<flow::Request>
 retargetFromJson(const JsonValue &body)
 {
-    Status fields = checkFields(
-        body, {"workload", "source", "label", "opt", "target",
-               "max_steps", "verify_equivalence"});
-    if (!fields.isOk())
-        return fields;
     Result<flow::SourceRef> source = sourceFromJson(body);
     if (!source)
         return source.status();
@@ -291,9 +266,6 @@ retargetFromJson(const JsonValue &body)
 Result<flow::Request>
 exploreFromJson(const JsonValue &body)
 {
-    Status fields = checkFields(body, {"plan", "threads"});
-    if (!fields.isOk())
-        return fields;
     const JsonValue *plan = body.find("plan");
     if (!plan)
         return Status::error(ErrorCode::InvalidArgument,
@@ -340,33 +312,23 @@ verbFromName(const std::string &name)
                           name.c_str());
 }
 
-Verb
-verbOf(const flow::Request &request)
+bool
+hasField(Verb verb, std::string_view field)
 {
-    struct Visitor
-    {
-        Verb operator()(const flow::CharacterizeRequest &) const
-        {
-            return Verb::Characterize;
-        }
-        Verb operator()(const flow::RunRequest &) const
-        {
-            return Verb::Run;
-        }
-        Verb operator()(const flow::SynthRequest &) const
-        {
-            return Verb::Synth;
-        }
-        Verb operator()(const flow::RetargetRequest &) const
-        {
-            return Verb::Retarget;
-        }
-        Verb operator()(const flow::ExploreRequest &) const
-        {
-            return Verb::Explore;
-        }
+    static const std::vector<std::string_view> fields[kVerbCount] = {
+        {"workload", "source", "label", "opt"},
+        {"workload", "source", "label", "opt", "verify", "max_steps",
+         "subset"},
+        {"workload", "source", "label", "opt", "name", "tech",
+         "baselines", "physical", "subset"},
+        {"workload", "source", "label", "opt", "target", "max_steps",
+         "verify_equivalence"},
+        {"plan", "threads"},
     };
-    return std::visit(Visitor{}, request);
+    const std::vector<std::string_view> &names =
+        fields[static_cast<size_t>(verb)];
+    return std::find(names.begin(), names.end(), field) !=
+           names.end();
 }
 
 Result<flow::Request>
@@ -377,6 +339,9 @@ requestFromJson(Verb verb, const JsonValue &body)
                               "request body must be a JSON object, "
                               "not a %s",
                               JsonValue::kindName(body.kind()));
+    Status fields = checkFields(body, verb);
+    if (!fields.isOk())
+        return fields;
     switch (verb) {
       case Verb::Characterize: return characterizeFromJson(body);
       case Verb::Run: return runFromJson(body);

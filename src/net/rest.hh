@@ -1,38 +1,51 @@
 /**
  * @file
- * REST mapping between the wire and the Flow API.
+ * The request codec: the one mapping from user input to a typed
+ * `flow::Request`, plus the status-code mapping of the responses.
  *
- * The serve front end does not fork the schema: a request body is a
- * small JSON object naming the same fields the `risspgen` verbs
- * accept, and the response body is `flow::toJson(...)` *verbatim* —
- * byte-identical to what `risspgen <verb> --json` prints for the
- * same request. This file owns the request direction (JSON body →
- * typed `flow::Request`) plus the status-code mapping; the socket
- * loop in net/server.cc owns nothing schema-shaped.
+ * Every front end spells a request as the same small JSON object:
+ * the serve daemon reads it from the HTTP body, and `risspgen` lowers
+ * its command-line words — one-shot verbs and batch-file lines alike
+ * — onto it before calling `requestFromJson`. The response body is
+ * `flow::toJson(...)` *verbatim*, so `risspgen <verb> --json` prints
+ * byte for byte what the daemon serves for the same request. The
+ * socket loop in net/server.cc owns nothing schema-shaped.
  *
- * Per-verb body fields (all optional unless noted):
+ * Per-verb fields (all optional unless noted), with the `risspgen`
+ * words that lower onto them:
  *
- *   common        "workload": bundled name  XOR  "source": MiniC
- *                 text (+ optional "label"); "opt": "O0".."O3"/"Oz"
- *   characterize  (common only)
- *   run           "verify": bool, "max_steps": number,
- *                 "subset": [mnemonics] (run on this subset instead)
- *   synth         "name": string, "tech": registry spec string,
- *                 "baselines": bool, "physical": bool,
- *                 "subset": [mnemonics]
- *   retarget      "target": [mnemonics], "max_steps": number,
- *                 "verify_equivalence": bool
- *   explore       "plan": plan text (required; replaces the common
- *                 source), "threads": number
+ *   field                verbs        risspgen words
+ *   "workload": name     all but      `@name`
+ *                        explore
+ *   "source": MiniC      all but      a file path (read at the CLI
+ *   + "label": string    explore      edge; the label is the path)
+ *   "opt": "O0".."O3"/   all but      `-O0` .. `-O3`, `-Oz`
+ *          "Oz"          explore
+ *   "verify": bool       run          `--verify`
+ *   "max_steps": number  run,         —
+ *                        retarget
+ *   "subset": [mnemonics] run, synth  — (run/synth on this subset)
+ *   "name": string       synth        —
+ *   "tech": spec string  synth        `--tech <spec>`
+ *   "baselines": bool    synth        —
+ *   "physical": bool     synth        —
+ *   "target": [mnemonics] retarget    —
+ *   "verify_equivalence" retarget     —
+ *     : bool
+ *   "plan": plan text    explore      a plan file path (required)
+ *   "threads": number    explore      —
  *
- * Unknown fields are rejected with InvalidArgument naming the field:
- * a client typo ("verfy") must never silently change behavior.
+ * Exactly one of "workload" and "source" is required outside
+ * explore. Unknown fields are rejected with InvalidArgument naming
+ * the field: a client typo ("verfy") must never silently change
+ * behavior.
  */
 
 #ifndef RISSP_NET_REST_HH
 #define RISSP_NET_REST_HH
 
 #include <string>
+#include <string_view>
 
 #include "flow/flow.hh"
 #include "util/json.hh"
@@ -59,10 +72,11 @@ const char *verbName(Verb verb);
 /** Parse a wire name; InvalidArgument on anything else. */
 Result<Verb> verbFromName(const std::string &name);
 
-/** Which verb a dispatched request was (for per-verb counters). */
-Verb verbOf(const flow::Request &request);
+/** Whether @p field is in @p verb's body schema (the table above). */
+bool hasField(Verb verb, std::string_view field);
 
-/** Build the typed request for @p verb from a parsed JSON body. */
+/** Build the typed request for @p verb from a parsed JSON body —
+ *  the one place a `flow::Request` is built from user input. */
 Result<flow::Request> requestFromJson(Verb verb,
                                       const JsonValue &body);
 

@@ -19,8 +19,8 @@
 #include "compiler/driver.hh"
 #include "exec/scheduler.hh"
 #include "explore/explorer.hh"
-#include "explore/memo.hh"
 #include "flow/caches.hh"
+#include "flow/memo.hh"
 #include "verify/integration_verify.hh"
 
 namespace rissp::exec
@@ -228,7 +228,7 @@ TEST(SchedulerDedup, ExactlyOnceUnder32WayContention)
 #else
     constexpr int kStages = 256;
 #endif
-    explore::MemoCache<uint64_t, int> cache;
+    flow::MemoCache<uint64_t, int> cache;
     std::atomic<int> computations{0};
     TaskGraph graph;
     for (int i = 0; i < kStages; ++i) {

@@ -9,16 +9,19 @@
  *
  * Also pins down the service properties a daemon depends on: stage
  * granularity (partial results survive downstream failures), shared
- * memoization across request verbs, and reentrancy under concurrent
- * callers.
+ * memoization across request verbs, reentrancy under concurrent
+ * callers, the scheduler task count of each verb's stage table, and
+ * the fold of an internal stage exception into a response.
  */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <thread>
 
 #include "flow/flow.hh"
 #include "flow/json.hh"
+#include "store/artifact_store.hh"
 
 namespace rissp::flow
 {
@@ -588,6 +591,114 @@ TEST(FlowAsync, FutureCarriesErrorsAsValues)
     ASSERT_NE(run, nullptr);
     EXPECT_FALSE(run->compile.run);
     EXPECT_FALSE(run->exec.run);
+}
+
+/** One request of every verb, in Request alternative order; each
+ *  compiles crc32 first. */
+std::vector<Request>
+oneRequestPerVerb()
+{
+    CharacterizeRequest characterize;
+    characterize.source = SourceRef::bundled("crc32");
+    RunRequest run;
+    run.source = SourceRef::bundled("crc32");
+    SynthRequest synth;
+    synth.source = SourceRef::bundled("crc32");
+    RetargetRequest retarget;
+    retarget.source = SourceRef::bundled("crc32");
+    ExploreRequest explore;
+    explore.planText = "workload crc32\nsubset fit = @crc32\n";
+    return {characterize, run, synth, retarget, explore};
+}
+
+TEST(FlowAsync, EachVerbSubmitsOneTaskPerStage)
+{
+    // run: compile, exec, cosim; synth: subset, app, baselines,
+    // finish; retarget: compile, rewrite, equivalence; characterize
+    // and explore are one stage each (explore's sweep runs on the
+    // Explorer's own scheduler).
+    const FlowService service(nullptr, 2);
+    const std::vector<Request> requests = oneRequestPerVerb();
+    const uint64_t want[] = {1, 3, 4, 3, 1};
+    ASSERT_EQ(requests.size(), std::size(want));
+    for (size_t i = 0; i < requests.size(); ++i) {
+        const uint64_t before = service.scheduler().submitted();
+        const Response response = service.submitAsync(requests[i]).get();
+        EXPECT_TRUE(responseStatus(response).isOk()) << i;
+        EXPECT_EQ(service.scheduler().submitted() - before, want[i])
+            << "request " << i;
+    }
+}
+
+/** A store whose every load throws: an internal bug escaping a
+ *  stage as an exception instead of a value. */
+class ThrowingStore final : public store::ArtifactStore
+{
+  public:
+    bool load(store::ArtifactKind, const store::ArtifactKey &,
+              std::vector<uint8_t> &) override
+    {
+        throw std::runtime_error("store exploded");
+    }
+
+    bool publish(store::ArtifactKind, const store::ArtifactKey &,
+                 const std::vector<uint8_t> &) override
+    {
+        return true;
+    }
+
+    store::StoreStats stats() const override { return {}; }
+};
+
+TEST(FlowAsync, StageExceptionFoldsIntoAnInternalResponse)
+{
+    ServiceOptions options;
+    options.artifacts = std::make_shared<ThrowingStore>();
+    const FlowService service(options);
+    for (const Request &request : oneRequestPerVerb()) {
+        // dispatchAsync has no future to carry the exception: it
+        // settles with a response of the request's own alternative.
+        std::promise<Response> settled;
+        service.dispatchAsync(request, [&settled](Response response) {
+            settled.set_value(std::move(response));
+        });
+        const Response response = settled.get_future().get();
+        EXPECT_EQ(response.index(), request.index());
+        const Status &status = responseStatus(response);
+        EXPECT_EQ(status.code(), ErrorCode::Internal)
+            << request.index();
+        EXPECT_NE(status.message().find("store exploded"),
+                  std::string::npos)
+            << status.toString();
+
+        // submitAsync's future carries the exception itself.
+        std::future<Response> future = service.submitAsync(request);
+        EXPECT_THROW(future.get(), std::runtime_error)
+            << request.index();
+    }
+}
+
+TEST(FlowSynth, FailedAppSweepStillSweepsTheBaselineInBothDisciplines)
+{
+    // One stage table, one semantics: the baseline sweep does not
+    // depend on the app sweep, so it runs (and fills its cache
+    // entry) even when the app sweep fails — synchronously as on the
+    // scheduler — and the response, which discards it, is the same.
+    SynthRequest request;
+    request.subsetOverride = InstrSubset::fromNames({"addi", "jal"});
+    // Sweep window above the end frequency: no point can be met.
+    ASSERT_TRUE(request.tech.trySet("sweepStartKhz", 5000).isOk());
+
+    const FlowService sync;
+    const SynthResponse response = sync.synth(request);
+    EXPECT_EQ(response.status.code(), ErrorCode::SynthError);
+    EXPECT_FALSE(response.synth.run);
+    EXPECT_EQ(sync.caches()->synthReport.misses(), 2u);
+
+    const FlowService async;
+    EXPECT_EQ(toJson(async.submitAsync(request).get()),
+              toJson(response));
+    EXPECT_EQ(async.caches()->synthReport.misses(), 2u);
 }
 
 // ---------------------------------------------------------- json

@@ -3,12 +3,14 @@
  * risspgen — command-line front end for the RISSP generation flow.
  *
  *   risspgen characterize <src.c> [-O2]     subset + codesize report
- *   risspgen run <src.c> [-O2]              execute on the generated
- *                                           RISSP (prints exit/MMIO)
+ *   risspgen run <src.c> [-O2] [--verify]   execute on the generated
+ *                                           RISSP (prints exit/MMIO),
+ *                                           optionally co-simulated
  *   risspgen synth <src.c> [-O2]            synthesis + physical
- *                                           summary vs the baselines
+ *            [--tech <spec>]                summary vs the baselines
  *   risspgen retarget <src.c> [-O2]         rewrite onto the minimal
  *                                           12-op subset and verify
+ *   risspgen explore <plan-file>            sweep a design space
  *   risspgen table3                         regenerate Table 3 for
  *                                           the bundled workloads
  *   risspgen techs                          list the registered
@@ -25,8 +27,19 @@
  * Every verb accepts --json: the machine-readable response from the
  * Flow API, verbatim (see flow/json.hh), instead of the human table.
  *
+ * A request's words — `<source> [flags]` after the verb — are not
+ * parsed into a request here: they are lowered onto the JSON body
+ * the serve daemon reads, and the request codec (net/rest.hh) builds
+ * the typed request from it. `@name` becomes "workload", a file path
+ * "source" + "label" (read here, at the edge), `-Ox` "opt",
+ * `--verify` "verify" and `--tech <spec>` "tech" (tech/registry.hh
+ * grammar, e.g. silicon-65nm or flexic-0.6um:voltage=2.4). An
+ * unknown, repeated or inapplicable flag, or a stray positional, is
+ * a usage error (exit 2) — a typo never silently runs something
+ * else.
+ *
  * Batch files are line-oriented; '#' starts a comment. Each line is
- * a request in the familiar verb syntax:
+ * a verb followed by the same words as a one-shot request:
  *
  *   characterize @crc32 -O1
  *   run @armpit --verify
@@ -41,16 +54,8 @@
  * whole batch. Responses print in request order with a per-request
  * status; the exit code is 0 only if every request succeeded.
  *
- * `synth` accepts --tech <spec> to cost the design on a registered
- * technology (tech/registry.hh grammar), e.g. --tech silicon-65nm or
- * --tech flexic-0.6um:voltage=2.4,ffPowerRatio=8.
- *
- * Sources are MiniC (see README). A file argument of the form
- * `@name` selects a bundled workload (e.g. @armpit, @crc32).
- *
- * This main is a thin adapter: it loads files, builds a request,
- * calls `flow::FlowService`, and formats the response. All pipeline
- * logic — and all input validation — lives behind the service, so a
+ * Sources are MiniC (see README). All pipeline logic — and all
+ * request validation — lives behind the codec and the service, so a
  * malformed request exits with a structured error, never an abort.
  */
 
@@ -64,6 +69,7 @@
 
 #include "flow/flow.hh"
 #include "flow/json.hh"
+#include "net/rest.hh"
 #include "net/server.hh"
 #include "store/disk_store.hh"
 #include "tech/registry.hh"
@@ -75,14 +81,11 @@ namespace
 
 using namespace rissp;
 
-/** Everything parsed off the command line. */
+/** The flags every command shares, parsed off the command line. */
 struct CliOptions
 {
     std::string command;
-    std::string sourceArg;
-    std::string techSpec; ///< --tech value; empty = default tech
     std::string cacheDir; ///< --cache-dir value; empty = no store
-    minic::OptLevel level = minic::OptLevel::O2;
     bool json = false;
 };
 
@@ -101,30 +104,6 @@ openCliStore(const CliOptions &cli)
     if (!opened)
         return opened.status();
     return std::shared_ptr<store::ArtifactStore>(opened.take());
-}
-
-/** Map an `-Ox` word to its level; false when it is not one. */
-bool
-optLevelFromWord(const std::string &word, minic::OptLevel &out)
-{
-    if (word == "-O0") out = minic::OptLevel::O0;
-    else if (word == "-O1") out = minic::OptLevel::O1;
-    else if (word == "-O2") out = minic::OptLevel::O2;
-    else if (word == "-O3") out = minic::OptLevel::O3;
-    else if (word == "-Oz") out = minic::OptLevel::Oz;
-    else return false;
-    return true;
-}
-
-minic::OptLevel
-parseLevel(int argc, char **argv, int first)
-{
-    minic::OptLevel level = minic::OptLevel::O2;
-    for (int i = first; i < argc; ++i) {
-        if (optLevelFromWord(argv[i], level))
-            return level;
-    }
-    return level;
 }
 
 /** Parse a non-negative integer CLI value (no sign, no suffix, at
@@ -155,6 +134,14 @@ reportError(const Status &status, bool json)
     return 1;
 }
 
+/** Report a command line that does not spell a request. */
+int
+usageError(const std::string &message)
+{
+    std::fprintf(stderr, "risspgen: error: %s\n", message.c_str());
+    return 2;
+}
+
 /** Read a whole file (MiniC sources, batch files, plan files — all
  *  IO happens here, at the CLI edge; the service never opens
  *  paths). */
@@ -170,30 +157,109 @@ readFile(const std::string &path)
     return buf.str();
 }
 
-/** Resolve a CLI source argument: `@name` stays a workload
- *  reference (the service validates it); anything else is a file
- *  read at the edge. */
-Result<flow::SourceRef>
-resolveSource(const std::string &arg)
+// ------------------------------------------------------- requests
+
+/** A request's command-line words lowered onto codec body fields;
+ *  the source file, if any, is still to be read. */
+struct LoweredRequest
 {
-    if (!arg.empty() && arg[0] == '@')
-        return flow::SourceRef::bundled(arg.substr(1));
-    Result<std::string> text = readFile(arg);
-    if (!text)
-        return text.status();
-    return flow::SourceRef::inlineText(text.take(), arg);
+    net::Verb verb = net::Verb::Characterize;
+    std::vector<JsonValue::Member> fields;
+    std::string path; ///< file read into "source" or "plan"
+};
+
+/** Lower @p words — `<source> [flags...]` — for @p verb. Words that
+ *  do not spell a request (a missing source, a stray positional, an
+ *  unknown, repeated or inapplicable flag) are an InvalidArgument
+ *  usage error; field values are left for the codec to check. */
+Result<LoweredRequest>
+lowerWords(net::Verb verb, const std::vector<std::string> &words)
+{
+    const char *name = net::verbName(verb);
+    LoweredRequest lowered;
+    lowered.verb = verb;
+    if (words.empty() || words[0][0] == '-')
+        return Status::errorf(ErrorCode::InvalidArgument,
+                              "'%s' needs a %s", name,
+                              verb == net::Verb::Explore
+                                  ? "plan file"
+                                  : "source file or @workload");
+    if (verb != net::Verb::Explore && words[0][0] == '@')
+        lowered.fields.emplace_back(
+            "workload", JsonValue::makeString(words[0].substr(1)));
+    else
+        lowered.path = words[0];
+
+    for (size_t i = 1; i < words.size(); ++i) {
+        const std::string &word = words[i];
+        JsonValue::Member field;
+        if (word.rfind("-O", 0) == 0) {
+            field = {"opt", JsonValue::makeString(word.substr(1))};
+        } else if (word == "--verify") {
+            field = {"verify", JsonValue::makeBool(true)};
+        } else if (word == "--tech") {
+            if (i + 1 >= words.size())
+                return Status::error(ErrorCode::InvalidArgument,
+                                     "--tech needs a value");
+            field = {"tech", JsonValue::makeString(words[++i])};
+        } else {
+            return Status::errorf(ErrorCode::InvalidArgument,
+                                  "%s '%s'",
+                                  word[0] == '-' ? "unknown flag"
+                                                 : "unexpected argument",
+                                  word.c_str());
+        }
+        if (!net::hasField(verb, field.first))
+            return Status::errorf(ErrorCode::InvalidArgument,
+                                  "'%s' does not take %s", name,
+                                  word.c_str());
+        for (const JsonValue::Member &seen : lowered.fields)
+            if (seen.first == field.first)
+                return Status::errorf(ErrorCode::InvalidArgument,
+                                      "%s repeats an earlier flag",
+                                      word.c_str());
+        lowered.fields.push_back(std::move(field));
+    }
+    return lowered;
 }
 
-// Human-readable response printers, shared by the one-shot verbs
-// and the batch verb; each returns the verb's exit code.
-
-int
-printCharacterize(const flow::CharacterizeResponse &response,
-                  minic::OptLevel level)
+/** Read the lowered request's file at the edge, then build the
+ *  typed request through the codec. */
+Result<flow::Request>
+buildRequest(LoweredRequest lowered)
 {
+    if (!lowered.path.empty()) {
+        Result<std::string> text = readFile(lowered.path);
+        if (!text)
+            return text.status();
+        if (lowered.verb == net::Verb::Explore) {
+            lowered.fields.emplace_back(
+                "plan", JsonValue::makeString(text.take()));
+        } else {
+            lowered.fields.emplace_back(
+                "source", JsonValue::makeString(text.take()));
+            lowered.fields.emplace_back(
+                "label", JsonValue::makeString(lowered.path));
+        }
+    }
+    return net::requestFromJson(
+        lowered.verb, JsonValue::makeObject(std::move(lowered.fields)));
+}
+
+// ------------------------------------------------------ responses
+
+// Human-readable reports, one per response type. Each prints only
+// when the response got as far as its primary stage — a trapped run
+// still reports its execution — and says whether it did.
+
+bool
+printReport(const flow::CharacterizeResponse &response)
+{
+    if (!response.status.isOk())
+        return false;
     const InstrSubset &subset = response.subset.subset;
     std::printf("optimization   : %s\n",
-                minic::optLevelName(level).c_str());
+                minic::optLevelName(response.compile.opt).c_str());
     std::printf("code size      : %zu instructions (%zu bytes)\n",
                 response.compile.staticInstructions,
                 response.compile.textBytes);
@@ -206,31 +272,15 @@ printCharacterize(const flow::CharacterizeResponse &response,
                 "(%.0f%%)\n", subset.size(), kFullIsaSize,
                 subset.fractionOfFullIsa() * 100.0);
     std::printf("instructions   : %s\n", subset.describe().c_str());
-    return 0;
+    return true;
 }
 
-int
-cmdCharacterize(const flow::FlowService &service,
-                const flow::SourceRef &src, const CliOptions &cli)
-{
-    flow::CharacterizeRequest request;
-    request.source = src;
-    request.opt = cli.level;
-    const flow::CharacterizeResponse response =
-        service.characterize(request);
-    if (!response.status.isOk())
-        return reportError(response.status, cli.json);
-    if (cli.json) {
-        std::fputs(flow::toJson(response).c_str(), stdout);
-        return 0;
-    }
-    return printCharacterize(response, cli.level);
-}
-
-int
-printRun(const flow::RunResponse &response)
+bool
+printReport(const flow::RunResponse &response)
 {
     const flow::ExecStage &exec = response.exec;
+    if (!exec.run)
+        return false;
     const char *why = exec.reason == StopReason::Halted ? "halted"
         : exec.reason == StopReason::Trapped ? "TRAPPED"
         : "step limit";
@@ -246,32 +296,14 @@ printRun(const flow::RunResponse &response)
     }
     if (!exec.outputText.empty())
         std::printf("output text   : %s\n", exec.outputText.c_str());
-    return exec.reason == StopReason::Halted ? 0 : 1;
+    return true;
 }
 
-int
-cmdRun(const flow::FlowService &service, const flow::SourceRef &src,
-       const CliOptions &cli)
+bool
+printReport(const flow::SynthResponse &response)
 {
-    flow::RunRequest request;
-    request.source = src;
-    request.opt = cli.level;
-    const flow::RunResponse response = service.run(request);
-    // Trap and step-limit are valid outcomes of a valid request:
-    // the exec stage ran, so report it; only a request that never
-    // reached execution is an error.
-    if (!response.exec.run)
-        return reportError(response.status, cli.json);
-    if (cli.json) {
-        std::fputs(flow::toJson(response).c_str(), stdout);
-        return response.exec.reason == StopReason::Halted ? 0 : 1;
-    }
-    return printRun(response);
-}
-
-int
-printSynth(const flow::SynthResponse &response)
-{
+    if (!response.status.isOk())
+        return false;
     const SynthReport &mine = response.synth.app;
     const SynthReport &full = response.synth.fullIsa;
     const SynthReport &serv = response.synth.serv;
@@ -301,31 +333,80 @@ printSynth(const flow::SynthResponse &response)
                 impl.implKhz, impl.dieXUm, impl.dieYUm,
                 impl.dieAreaMm2, impl.ffAreaFraction * 100.0,
                 impl.powerMw);
-    return 0;
+    return true;
 }
 
-int
-cmdSynth(const flow::FlowService &service, const flow::SourceRef &src,
-         const CliOptions &cli)
+bool
+printReport(const flow::RetargetResponse &response)
 {
-    flow::SynthRequest request;
-    request.source = src;
-    request.opt = cli.level;
-    if (!cli.techSpec.empty()) {
-        Result<explore::TechSpec> tech =
-            explore::TechSpec::fromSpec(cli.techSpec);
-        if (!tech)
-            return reportError(tech.status(), cli.json);
-        request.tech = tech.take();
+    if (!response.retarget.run)
+        return false;
+    const RetargetResult &res = response.retarget.result;
+    if (!res.ok) {
+        std::printf("retargeting failed: %s\n", res.error.c_str());
+        return true;
     }
-    const flow::SynthResponse response = service.synth(request);
+    std::printf("macros         : %zu synthesized+verified\n",
+                res.macros.size());
+    std::printf("code size      : %zu -> %zu bytes (%+.1f%%)\n",
+                res.initialTextBytes, res.retargetedTextBytes,
+                res.codeGrowth() * 100.0);
+    std::printf("distinct ops   : %zu -> %zu\n",
+                res.initialSubset.size(), res.finalSubset.size());
+    const flow::EquivalenceStage &eq = response.equivalence;
+    std::printf("equivalence    : %s (exit %u vs %u)\n",
+                eq.matched ? "verified" : "MISMATCH", eq.refExit,
+                eq.dutExit);
+    return true;
+}
+
+bool
+printReport(const flow::ExploreResponse &response)
+{
     if (!response.status.isOk())
-        return reportError(response.status, cli.json);
-    if (cli.json) {
+        return false;
+    std::printf("%zu points swept, %zu on the Pareto frontier\n",
+                response.table.size(),
+                response.table.paretoFrontier().size());
+    return true;
+}
+
+/** Print one response — its Flow API JSON, or its human report (an
+ *  error line on stderr when it never got that far) — and return
+ *  its exit code: 0 only when the request succeeded. */
+int
+printResponse(const flow::Response &response, bool json)
+{
+    const Status &status = flow::responseStatus(response);
+    if (json)
         std::fputs(flow::toJson(response).c_str(), stdout);
-        return 0;
-    }
-    return printSynth(response);
+    else if (!std::visit([](const auto &r) { return printReport(r); },
+                         response))
+        std::fprintf(stderr, "risspgen: error: %s\n",
+                     status.toString().c_str());
+    return status.isOk() ? 0 : 1;
+}
+
+/** A one-shot verb: `risspgen <verb> <source> [flags]`. */
+int
+cmdRequest(const CliOptions &cli, net::Verb verb,
+           const std::vector<std::string> &words)
+{
+    Result<LoweredRequest> lowered = lowerWords(verb, words);
+    if (!lowered)
+        return usageError(lowered.status().message());
+    Result<flow::Request> request = buildRequest(lowered.take());
+    if (!request)
+        return reportError(request.status(), cli.json);
+
+    Result<std::shared_ptr<store::ArtifactStore>> artifacts =
+        openCliStore(cli);
+    if (!artifacts)
+        return reportError(artifacts.status(), cli.json);
+    flow::ServiceOptions serviceOptions;
+    serviceOptions.artifacts = artifacts.take();
+    const flow::FlowService service(serviceOptions);
+    return printResponse(service.dispatch(request.value()), cli.json);
 }
 
 int
@@ -363,48 +444,15 @@ cmdTechs(const CliOptions &cli)
 }
 
 int
-printRetarget(const flow::RetargetResponse &response)
+cmdTable3(const CliOptions &cli)
 {
-    const RetargetResult &res = response.retarget.result;
-    if (!res.ok) {
-        std::printf("retargeting failed: %s\n", res.error.c_str());
-        return 1;
-    }
-    std::printf("macros         : %zu synthesized+verified\n",
-                res.macros.size());
-    std::printf("code size      : %zu -> %zu bytes (%+.1f%%)\n",
-                res.initialTextBytes, res.retargetedTextBytes,
-                res.codeGrowth() * 100.0);
-    std::printf("distinct ops   : %zu -> %zu\n",
-                res.initialSubset.size(), res.finalSubset.size());
-    const flow::EquivalenceStage &eq = response.equivalence;
-    std::printf("equivalence    : %s (exit %u vs %u)\n",
-                eq.matched ? "verified" : "MISMATCH", eq.refExit,
-                eq.dutExit);
-    return eq.matched ? 0 : 1;
-}
-
-int
-cmdRetarget(const flow::FlowService &service,
-            const flow::SourceRef &src, const CliOptions &cli)
-{
-    flow::RetargetRequest request;
-    request.source = src;
-    request.opt = cli.level;
-    const flow::RetargetResponse response =
-        service.retarget(request);
-    if (!response.retarget.run)
-        return reportError(response.status, cli.json);
-    if (cli.json) {
-        std::fputs(flow::toJson(response).c_str(), stdout);
-        return response.status.isOk() ? 0 : 1;
-    }
-    return printRetarget(response);
-}
-
-int
-cmdTable3(const flow::FlowService &service, const CliOptions &cli)
-{
+    Result<std::shared_ptr<store::ArtifactStore>> artifacts =
+        openCliStore(cli);
+    if (!artifacts)
+        return reportError(artifacts.status(), cli.json);
+    flow::ServiceOptions serviceOptions;
+    serviceOptions.artifacts = artifacts.take();
+    const flow::FlowService service(serviceOptions);
     bool first = true;
     if (cli.json)
         std::printf("[\n");
@@ -436,162 +484,54 @@ cmdTable3(const flow::FlowService &service, const CliOptions &cli)
 /** One parsed batch-file line. */
 struct BatchEntry
 {
-    int line = 0;
     std::string text; ///< the request line, verbatim, for reports
     flow::Request request;
 };
 
-/**
- * Parse one batch line: `<verb> <source> [flags...]` where source
- * is `@workload`, a MiniC file, or (for explore) a plan file. File
- * IO happens here, at the edge — the requests handed to the service
- * are self-contained.
- */
+/** Parse one batch line: a verb, then the one-shot request words. */
 Result<flow::Request>
-parseBatchLine(const std::string &line)
+requestFromLine(const std::string &line)
 {
     std::istringstream in(line);
+    std::string verbWord;
+    in >> verbWord;
+    Result<net::Verb> verb = net::verbFromName(verbWord);
+    if (!verb)
+        return verb.status();
     std::vector<std::string> words;
     for (std::string word; in >> word;)
         words.push_back(word);
-    if (words.size() < 2)
-        return Status::error(ErrorCode::ParseError,
-                             "expected '<verb> <source> [flags]'");
-    const std::string &verb = words[0];
-    const std::string &sourceArg = words[1];
-
-    if (verb == "explore") {
-        Result<std::string> plan = readFile(sourceArg);
-        if (!plan)
-            return plan.status();
-        flow::ExploreRequest request;
-        request.planText = plan.take();
-        if (words.size() > 2)
-            return Status::errorf(ErrorCode::ParseError,
-                                  "unknown explore flag '%s'",
-                                  words[2].c_str());
-        return flow::Request(std::move(request));
-    }
-
-    Result<flow::SourceRef> source = resolveSource(sourceArg);
-    if (!source)
-        return source.status();
-
-    minic::OptLevel level = minic::OptLevel::O2;
-    bool verify = false;
-    std::string techSpec;
-    for (size_t i = 2; i < words.size(); ++i) {
-        const std::string &word = words[i];
-        if (optLevelFromWord(word, level))
-            continue;
-        if (word == "--verify" && verb == "run") {
-            verify = true;
-            continue;
-        }
-        if (word == "--tech" && verb == "synth") {
-            if (i + 1 >= words.size())
-                return Status::error(ErrorCode::ParseError,
-                                     "--tech needs a value");
-            techSpec = words[++i];
-            continue;
-        }
-        return Status::errorf(ErrorCode::ParseError,
-                              "unknown flag '%s' for '%s'",
-                              word.c_str(), verb.c_str());
-    }
-
-    if (verb == "characterize") {
-        flow::CharacterizeRequest request;
-        request.source = source.take();
-        request.opt = level;
-        return flow::Request(std::move(request));
-    }
-    if (verb == "run") {
-        flow::RunRequest request;
-        request.source = source.take();
-        request.opt = level;
-        request.verify = verify;
-        return flow::Request(std::move(request));
-    }
-    if (verb == "synth") {
-        flow::SynthRequest request;
-        request.source = source.take();
-        request.opt = level;
-        if (!techSpec.empty()) {
-            Result<explore::TechSpec> tech =
-                explore::TechSpec::fromSpec(techSpec);
-            if (!tech)
-                return tech.status();
-            request.tech = tech.take();
-        }
-        return flow::Request(std::move(request));
-    }
-    if (verb == "retarget") {
-        flow::RetargetRequest request;
-        request.source = source.take();
-        request.opt = level;
-        return flow::Request(std::move(request));
-    }
-    return Status::errorf(ErrorCode::ParseError,
-                          "unknown verb '%s' (characterize, run, "
-                          "synth, retarget, explore)",
-                          verb.c_str());
-}
-
-/** The opt level a request was parsed with (for the human report
- *  of a characterize response). */
-minic::OptLevel
-requestOptLevel(const flow::Request &request)
-{
-    if (const auto *c =
-            std::get_if<flow::CharacterizeRequest>(&request))
-        return c->opt;
-    return minic::OptLevel::O2;
-}
-
-/** Print one batch response body (human mode); mirrors what the
- *  one-shot verbs print when their primary stage ran. */
-void
-printBatchBody(const flow::Request &request,
-               const flow::Response &response)
-{
-    if (const auto *r =
-            std::get_if<flow::CharacterizeResponse>(&response)) {
-        if (r->status.isOk())
-            printCharacterize(*r, requestOptLevel(request));
-    } else if (const auto *r =
-                   std::get_if<flow::RunResponse>(&response)) {
-        if (r->exec.run)
-            printRun(*r);
-    } else if (const auto *r =
-                   std::get_if<flow::SynthResponse>(&response)) {
-        if (r->status.isOk())
-            printSynth(*r);
-    } else if (const auto *r =
-                   std::get_if<flow::RetargetResponse>(&response)) {
-        if (r->retarget.run)
-            printRetarget(*r);
-    } else if (const auto *r =
-                   std::get_if<flow::ExploreResponse>(&response)) {
-        if (r->status.isOk())
-            std::printf("%zu points swept, %zu on the Pareto "
-                        "frontier\n",
-                        r->table.size(),
-                        r->table.paretoFrontier().size());
-    }
+    Result<LoweredRequest> lowered = lowerWords(verb.value(), words);
+    if (!lowered)
+        return lowered.status();
+    return buildRequest(lowered.take());
 }
 
 int
-cmdBatch(const CliOptions &cli, const std::string &fileArg,
-         unsigned threads)
+cmdBatch(const CliOptions &cli, const std::vector<std::string> &args)
 {
+    if (args.empty())
+        return usageError("batch needs a file (or - for stdin)");
+    unsigned threads = 0;
+    for (size_t i = 1; i < args.size(); ++i) {
+        unsigned long n = 0;
+        if (args[i] == "--threads" && i + 1 < args.size() &&
+            parseCount(args[i + 1], 4096, n)) {
+            threads = static_cast<unsigned>(n);
+            ++i;
+            continue;
+        }
+        return usageError("bad batch flag or value at '" + args[i] +
+                          "'");
+    }
+
     std::string text;
-    if (fileArg == "-") {
+    if (args[0] == "-") {
         std::ostringstream buf;
         buf << std::cin.rdbuf();
         text = buf.str();
     } else {
-        Result<std::string> file = readFile(fileArg);
+        Result<std::string> file = readFile(args[0]);
         if (!file)
             return reportError(file.status(), cli.json);
         text = file.take();
@@ -621,18 +561,15 @@ cmdBatch(const CliOptions &cli, const std::string &fileArg,
         if (last == std::string::npos)
             continue; // blank or comment-only
         line.erase(last + 1);
-        Result<flow::Request> request = parseBatchLine(line);
+
+        Result<flow::Request> request = requestFromLine(line);
         if (!request) {
             errors.push_back(
                 "batch line " + std::to_string(lineNo) + ": " +
                 request.status().message());
             continue;
         }
-        BatchEntry entry;
-        entry.line = lineNo;
-        entry.text = line;
-        entry.request = request.take();
-        entries.push_back(std::move(entry));
+        entries.push_back({line, request.take()});
     }
     if (!errors.empty()) {
         for (const std::string &message : errors)
@@ -640,11 +577,8 @@ cmdBatch(const CliOptions &cli, const std::string &fileArg,
                          message.c_str());
         return 2;
     }
-    if (entries.empty()) {
-        std::fprintf(stderr, "risspgen: error: batch file has no "
-                             "requests\n");
-        return 2;
-    }
+    if (entries.empty())
+        return usageError("batch file has no requests");
 
     Result<std::shared_ptr<store::ArtifactStore>> artifacts =
         openCliStore(cli);
@@ -678,7 +612,7 @@ cmdBatch(const CliOptions &cli, const std::string &fileArg,
         std::printf("%s=== request %zu: %s\n    status: %s\n",
                     i ? "\n" : "", i + 1, entries[i].text.c_str(),
                     status.toString().c_str());
-        printBatchBody(entries[i].request, responses[i]);
+        printResponse(responses[i], false);
     }
     if (cli.json)
         std::printf("]\n");
@@ -866,39 +800,35 @@ cmdCacheWarm(const CliOptions &cli,
 }
 
 int
-cmdCache(int argc, char **argv, const CliOptions &cli)
+cmdCache(const CliOptions &cli, const std::vector<std::string> &args)
 {
-    if (argc < 3 || argv[2][0] == '-') {
+    if (args.empty() || args[0][0] == '-') {
         std::fprintf(stderr, "usage: risspgen cache "
                              "<stats|gc|warm> --cache-dir <dir> "
                              "[flags]\n");
         return 2;
     }
-    const std::string sub = argv[2];
+    const std::string &sub = args[0];
 
     unsigned long maxMb = 0;
     unsigned long maxAgeDays = 0;
     unsigned threads = 0;
     std::vector<std::string> names;
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const bool hasValue = i + 1 < argc;
+    for (size_t i = 1; i < args.size(); ++i) {
+        const std::string &arg = args[i];
+        const bool hasValue = i + 1 < args.size();
         unsigned long n = 0;
-        if (arg == "--json") {
-            continue; // parsed by the global flag loop
-        } else if (arg == "--cache-dir" && hasValue) {
-            ++i; // parsed by the global flag loop
-        } else if (sub == "gc" && arg == "--max-mb" && hasValue &&
-                   parseCount(argv[i + 1], 1'000'000'000ul, n)) {
+        if (sub == "gc" && arg == "--max-mb" && hasValue &&
+            parseCount(args[i + 1], 1'000'000'000ul, n)) {
             maxMb = n;
             ++i;
         } else if (sub == "gc" && arg == "--max-age-days" &&
                    hasValue &&
-                   parseCount(argv[i + 1], 100'000ul, n)) {
+                   parseCount(args[i + 1], 100'000ul, n)) {
             maxAgeDays = n;
             ++i;
         } else if (sub == "warm" && arg == "--threads" && hasValue &&
-                   parseCount(argv[i + 1], 4096, n)) {
+                   parseCount(args[i + 1], 4096, n)) {
             threads = static_cast<unsigned>(n);
             ++i;
         } else if (sub == "warm" && arg[0] != '-') {
@@ -958,39 +888,37 @@ onTerminate(int)
 }
 
 int
-cmdServe(int argc, char **argv, const CliOptions &cli)
+cmdServe(const CliOptions &cli, const std::vector<std::string> &args)
 {
     net::ServeOptions options;
     unsigned threads = 0;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const bool hasValue = i + 1 < argc;
+    for (size_t i = 0; i < args.size(); ++i) {
+        const std::string &arg = args[i];
+        const bool hasValue = i + 1 < args.size();
         unsigned long n = 0;
         if (arg == "--port" && hasValue &&
-            parseCount(argv[i + 1], 65535, n)) {
+            parseCount(args[i + 1], 65535, n)) {
             options.port = static_cast<uint16_t>(n);
             ++i;
         } else if (arg == "--threads" && hasValue &&
-                   parseCount(argv[i + 1], 4096, n)) {
+                   parseCount(args[i + 1], 4096, n)) {
             threads = static_cast<unsigned>(n);
             ++i;
         } else if (arg == "--max-queue" && hasValue &&
-                   parseCount(argv[i + 1], 1'000'000, n) && n > 0) {
+                   parseCount(args[i + 1], 1'000'000, n) && n > 0) {
             options.maxQueue = static_cast<size_t>(n);
             ++i;
         } else if (arg == "--max-connections" && hasValue &&
-                   parseCount(argv[i + 1], 1'000'000, n) && n > 0) {
+                   parseCount(args[i + 1], 1'000'000, n) && n > 0) {
             options.maxConnections = static_cast<size_t>(n);
             ++i;
         } else if (arg == "--idle-timeout" && hasValue &&
-                   parseCount(argv[i + 1], 86'400, n)) {
+                   parseCount(args[i + 1], 86'400, n)) {
             // Seconds on the CLI; 0 disables idle reaping.
             options.idleTimeoutMs = static_cast<int>(n) * 1000;
             ++i;
         } else if (arg == "--bind" && hasValue) {
-            options.bindAddress = argv[++i];
-        } else if (arg == "--cache-dir" && hasValue) {
-            ++i; // parsed by the global flag loop
+            options.bindAddress = args[++i];
         } else {
             std::fprintf(stderr,
                          "risspgen: bad serve flag or value at "
@@ -1042,16 +970,17 @@ usage()
     std::printf(
         "usage: risspgen <command> [args]\n"
         "  characterize <src.c|@workload> [-O0..-Oz] [--json]\n"
-        "  run          <src.c|@workload> [-O0..-Oz] [--json]\n"
+        "  run          <src.c|@workload> [-O0..-Oz] [--verify] "
+        "[--json]\n"
         "  synth        <src.c|@workload> [-O0..-Oz] [--json]\n"
         "               [--tech <name[:key=value,...]>]\n"
         "  retarget     <src.c|@workload> [-O0..-Oz] [--json]\n"
+        "  explore      <plan-file> [--json]\n"
         "  table3 [--json]\n"
         "  techs  [--json]            list registered technologies\n"
         "  batch <file|-> [--threads N] [--json]\n"
         "         serve one request per line concurrently; lines\n"
-        "         use the verb syntax above, plus 'run ... --verify'\n"
-        "         and 'explore <plan-file>'\n"
+        "         use the verb syntax above\n"
         "  serve [--port N] [--bind ADDR] [--threads N]\n"
         "        [--max-queue N] [--max-connections N]\n"
         "        [--idle-timeout SECONDS]\n"
@@ -1065,6 +994,9 @@ usage()
         "         [--threads N] [@workload...]) a persistent\n"
         "         artifact store (docs/CACHE.md)\n"
         "\n"
+        "Request flags map onto the REST body fields (docs/SERVE.md);\n"
+        "an unknown, repeated or inapplicable flag, or a stray\n"
+        "argument, is rejected with exit code 2.\n"
         "Every verb accepts --cache-dir <dir>: persist compile/sim/\n"
         "synth artifacts across runs in a content-addressed store\n"
         "(created on first use).\n");
@@ -1079,112 +1011,39 @@ main(int argc, char **argv)
         usage();
         return 2;
     }
+    // The flags every command shares come out here; each command
+    // parses the rest.
     CliOptions cli;
     cli.command = argv[1];
+    std::vector<std::string> args;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--json") {
             cli.json = true;
-        } else if (arg == "--tech") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "risspgen: --tech needs a value\n");
-                return 2;
-            }
-            cli.techSpec = argv[++i];
         } else if (arg == "--cache-dir") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "risspgen: --cache-dir needs "
-                                     "a value\n");
-                return 2;
-            }
+            if (i + 1 >= argc)
+                return usageError("--cache-dir needs a value");
             cli.cacheDir = argv[++i];
+        } else {
+            args.push_back(arg);
         }
-    }
-    cli.level = parseLevel(argc, argv, 3);
-
-    // Only synth costs a design on a technology; anywhere else a
-    // --tech would be silently ignored, which reads as "costed on
-    // the named node" to the user.
-    if (!cli.techSpec.empty() && cli.command != "synth") {
-        std::fprintf(stderr, "risspgen: --tech only applies to "
-                             "'synth'\n");
-        return 2;
     }
 
-    if (cli.command == "batch") {
-        if (argc < 3) {
-            usage();
-            return 2;
-        }
-        unsigned threads = 0;
-        for (int i = 3; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--json")
-                continue; // parsed by the global flag loop above
-            if (arg == "--cache-dir") {
-                ++i; // value parsed by the global flag loop above
-                continue;
-            }
-            if (arg == "--threads") {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr, "risspgen: --threads "
-                                         "needs a value\n");
-                    return 2;
-                }
-                const std::string word = argv[++i];
-                unsigned long n = 0;
-                if (!parseCount(word, 4096, n)) {
-                    std::fprintf(stderr,
-                                 "risspgen: bad --threads value "
-                                 "'%s'\n",
-                                 word.c_str());
-                    return 2;
-                }
-                threads = static_cast<unsigned>(n);
-                continue;
-            }
-            std::fprintf(stderr,
-                         "risspgen: unknown batch flag '%s'\n",
-                         arg.c_str());
-            return 2;
-        }
-        return cmdBatch(cli, argv[2], threads);
-    }
+    if (cli.command == "batch")
+        return cmdBatch(cli, args);
     if (cli.command == "serve")
-        return cmdServe(argc, argv, cli);
+        return cmdServe(cli, args);
     if (cli.command == "cache")
-        return cmdCache(argc, argv, cli);
-
-    Result<std::shared_ptr<store::ArtifactStore>> artifacts =
-        openCliStore(cli);
-    if (!artifacts)
-        return reportError(artifacts.status(), cli.json);
-    flow::ServiceOptions serviceOptions;
-    serviceOptions.artifacts = artifacts.take();
-    const flow::FlowService service(serviceOptions);
-    if (cli.command == "techs")
-        return cmdTechs(cli);
-    if (cli.command == "table3")
-        return cmdTable3(service, cli);
-    if (argc < 3 || argv[2][0] == '-') {
+        return cmdCache(cli, args);
+    if (cli.command == "techs" || cli.command == "table3") {
+        if (!args.empty())
+            return usageError("unexpected argument '" + args[0] + "'");
+        return cli.command == "techs" ? cmdTechs(cli) : cmdTable3(cli);
+    }
+    Result<net::Verb> verb = net::verbFromName(cli.command);
+    if (!verb) {
         usage();
         return 2;
     }
-    cli.sourceArg = argv[2];
-
-    Result<flow::SourceRef> src = resolveSource(cli.sourceArg);
-    if (!src)
-        return reportError(src.status(), cli.json);
-
-    if (cli.command == "characterize")
-        return cmdCharacterize(service, src.value(), cli);
-    if (cli.command == "run")
-        return cmdRun(service, src.value(), cli);
-    if (cli.command == "synth")
-        return cmdSynth(service, src.value(), cli);
-    if (cli.command == "retarget")
-        return cmdRetarget(service, src.value(), cli);
-    usage();
-    return 2;
+    return cmdRequest(cli, verb.value(), args);
 }
