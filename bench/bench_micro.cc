@@ -2,9 +2,10 @@
  * @file
  * Sim-throughput microbenchmarks for the toolchain itself: decoder,
  * reference ISS, RISSP cycle simulator, lock-step cosimulation,
- * assembler, MiniC compiler, the synthesis model (whole runs and
- * frequency-sweep points/s) and the P&R model. These are repo-health
- * numbers (simulation throughput), not paper figures.
+ * assembler, MiniC compiler, retarget macro verification and a whole
+ * retarget, the synthesis model (whole runs and frequency-sweep
+ * points/s) and the P&R model. These are repo-health numbers
+ * (simulation throughput), not paper figures.
  *
  * Self-contained timing harness (no google-benchmark dependency) so
  * every CI configuration can run it. Besides the human-readable
@@ -229,6 +230,31 @@ main(int argc, char **argv)
         bench("assemble_runtime", "link", [&] {
             Program p = minic::linkProgram(crc.appAsm, crc.helpers);
             return p.segments.empty() ? 0 : 1;
+        });
+    }
+
+    // Retarget macro verification on the cold path (no verdict
+    // memo): a fresh Retargeter synthesizes every retargetable op,
+    // in candidates verified per second.
+    bench("retarget_verify_cold", "candidate", [&] {
+        Retargeter tool(Retargeter::minimalSubset());
+        uint64_t candidates = 0;
+        for (size_t i = 0; i < kNumOps; ++i) {
+            const Op op = static_cast<Op>(i);
+            if (canRetarget(op))
+                candidates += tool.synthesizeMacro(op).attempts;
+        }
+        return candidates;
+    });
+
+    // One cold retarget of crc32 -O2 onto the minimal subset:
+    // synthesis, verification, reconstruction and reassembly.
+    {
+        const minic::CompileResult crc = minic::compile(
+            workloadByName("crc32").source, minic::OptLevel::O2);
+        bench("retarget_crc32", "retarget", [&] {
+            Retargeter tool(Retargeter::minimalSubset());
+            return tool.retarget(crc.program).ok ? 1 : 0;
         });
     }
 

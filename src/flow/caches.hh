@@ -2,15 +2,17 @@
  * @file
  * The shared stage caches of the RISSP pipeline.
  *
- * Compilation, co-simulation and synthesis are the expensive stages
- * of every flow, and their results are pure functions of small
- * fingerprints. `StageCaches` bundles the three exactly-once memo
- * caches so that one set can back *all* entry points at once: the
- * `FlowService` request verbs, the design-space `Explorer`, and any
- * future server front end share one instance, and a characterize
- * request warms the cache the next explore request hits. The caches
- * were originally private to the Explorer; lifting them here is what
- * makes the facade cheap to call repeatedly.
+ * Compilation, co-simulation, synthesis and retarget macro
+ * verification are the expensive stages of every flow, and their
+ * results are pure functions of small fingerprints. `StageCaches`
+ * bundles five exactly-once memo caches — `compile`, `sim`, `synth`,
+ * `synthReport` and `macroVerdict` — so that one set can back *all*
+ * entry points at once: the `FlowService` request verbs, the
+ * design-space `Explorer`, and any future server front end share one
+ * instance, and a characterize request warms the cache the next
+ * explore request hits. The caches were originally private to the
+ * Explorer; lifting them here is what makes the facade cheap to call
+ * repeatedly.
  *
  * All caches are thread-safe (see flow/memo.hh — their internal
  * locking is capability-annotated, so misuse is a compile error on
@@ -39,10 +41,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 
 #include "compiler/driver.hh"
 #include "explore/fingerprint.hh"
 #include "flow/memo.hh"
+#include "isa/op.hh"
 #include "store/artifact_store.hh"
 #include "synth/synthesis.hh"
 #include "util/status.hh"
@@ -72,7 +76,7 @@ struct SynthOutcome
     double physPowerMw = 0;
 };
 
-/** The three shared memo caches of the pipeline. */
+/** The shared memo caches of the pipeline. */
 struct StageCaches
 {
     /** Key: workload/source fingerprint (name, text, opt level).
@@ -101,6 +105,15 @@ struct StageCaches
     MemoCache<explore::FingerprintPair, Result<SynthReport>,
               explore::FingerprintPairHash>
         synthReport;
+
+    /** Key: `macroVerdictKey` (op, candidate body). Whether a
+     *  retarget macro candidate passed `Retargeter::verifyMacro` — a
+     *  pure function of the pair (it runs on the full-ISA reference,
+     *  never on the target subset), so concurrent retargets verify
+     *  each candidate once per service and in-flight waiters block
+     *  on the first one's future. Rejections are cached as values
+     *  like failed compiles. Memory only: no store record. */
+    MemoCache<uint64_t, bool> macroVerdict;
 
     /** Persistent tier under the memo caches; null = memory only.
      *  Set once, before the caches serve traffic (FlowService does
@@ -146,6 +159,14 @@ synthReportKey(const std::string &name, uint64_t subset_fp,
                uint64_t tech_fp)
 {
     return {explore::fnv1a(name, subset_fp), tech_fp};
+}
+
+/** The macro verdict cache key: the candidate body, then its op. */
+inline uint64_t
+macroVerdictKey(Op op, const std::string &body)
+{
+    const uint8_t tag = static_cast<uint8_t>(op);
+    return explore::fnv1a(&tag, 1, explore::fnv1a(body));
 }
 
 /** The one place the source cache key is derived from: the same key

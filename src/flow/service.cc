@@ -370,7 +370,7 @@ retargetCompileStage(const Caches &caches, Job<RetargetRequest> &job)
 }
 
 void
-retargetRewriteStage(const Caches &, Job<RetargetRequest> &job)
+retargetRewriteStage(const Caches &caches, Job<RetargetRequest> &job)
 {
     if (!job.response.status.isOk())
         return;
@@ -381,7 +381,13 @@ retargetRewriteStage(const Caches &, Job<RetargetRequest> &job)
         job.response.status = valid;
         return;
     }
-    Retargeter tool(job.target);
+    Retargeter tool(job.target, Retargeter::kDefaultSeed,
+                    [&caches](Op op, const std::string &body) {
+                        return caches->macroVerdict.getOrCompute(
+                            macroVerdictKey(op, body), [&] {
+                                return Retargeter::verifyMacro(op, body);
+                            });
+                    });
     job.response.retarget.run = true;
     job.response.retarget.result =
         tool.retarget(job.compiled->value().program);

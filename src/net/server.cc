@@ -94,7 +94,10 @@ toJson(const MetricsSnapshot &snapshot)
         << ", \"misses\": " << snapshot.synthMisses
         << "}, \"synth_report\": {\"hits\": "
         << snapshot.synthReportHits << ", \"misses\": "
-        << snapshot.synthReportMisses << "}}, \"store\": {"
+        << snapshot.synthReportMisses
+        << "}, \"macro_verdict\": {\"hits\": "
+        << snapshot.macroVerdictHits << ", \"misses\": "
+        << snapshot.macroVerdictMisses << "}}, \"store\": {"
         << "\"attached\": " << jsonBool(snapshot.storeAttached)
         << ", \"hits\": " << snapshot.storeHits
         << ", \"misses\": " << snapshot.storeMisses
@@ -472,6 +475,8 @@ HttpServer::metrics() const
     snapshot.synthMisses = caches.synth.misses();
     snapshot.synthReportHits = caches.synthReport.hits();
     snapshot.synthReportMisses = caches.synthReport.misses();
+    snapshot.macroVerdictHits = caches.macroVerdict.hits();
+    snapshot.macroVerdictMisses = caches.macroVerdict.misses();
 
     if (caches.artifacts) {
         const store::StoreStats stats = caches.artifacts->stats();

@@ -130,6 +130,7 @@ struct MetricsSnapshot
     uint64_t simHits = 0, simMisses = 0;
     uint64_t synthHits = 0, synthMisses = 0;
     uint64_t synthReportHits = 0, synthReportMisses = 0;
+    uint64_t macroVerdictHits = 0, macroVerdictMisses = 0;
 
     /** Persistent artifact-store counters; all zero (and
      *  `storeAttached` false) when the service runs memory-only. */

@@ -92,8 +92,9 @@ const char *kSraiBody = R"(
 )";
 
 // Logical right shift: arithmetic shift then mask off the
-// replicated sign bits. Valid for 1 <= sh <= 31 (shift-by-zero is
-// folded away upstream).
+// replicated sign bits. Valid for 1 <= sh <= 31: the mask degenerates
+// at sh = 0, so the rewriter lowers every shift by zero to addi and
+// never invokes this macro with it.
 const char *kSrliBody = R"(
     addi sp, sp, -12
     sw ra, 0(sp)

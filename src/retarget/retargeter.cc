@@ -1,6 +1,8 @@
 #include "retarget/retargeter.hh"
 
 #include <algorithm>
+#include <array>
+#include <map>
 
 #include "assembler/assembler.hh"
 #include "isa/instr.hh"
@@ -26,10 +28,12 @@ rewriteLine(const Instr &in, const std::string &branch_target)
                          r(in.rd).c_str(), r(in.rs1).c_str(),
                          r(in.rs2).c_str());
       case InstrType::I:
-        if (isLoad(in.op))
-            return strFormat("%s %s, %s, %d", name.c_str(),
-                             r(in.rd).c_str(), r(in.rs1).c_str(),
-                             in.imm);
+        // A shift by zero is an exact move: lower it to the kernel
+        // addi (the shift macros assume 1 <= sh <= 31).
+        if ((in.op == Op::Slli || in.op == Op::Srli ||
+             in.op == Op::Srai) && in.imm == 0)
+            return strFormat("addi %s, %s, 0", r(in.rd).c_str(),
+                             r(in.rs1).c_str());
         return strFormat("%s %s, %s, %d", name.c_str(),
                          r(in.rd).c_str(), r(in.rs1).c_str(),
                          in.imm);
@@ -75,10 +79,71 @@ nativeLine(const Instr &in, const std::string &branch_target)
     return disassemble(in);
 }
 
+// Verification harness layout: both sides start with sp at the
+// stack top and the scratch buffer seeded from kHarnessBufWords. The
+// code sits above the crt0 stack top, so a reset backs only the code
+// with a dense arena instead of zeroing 512 KiB (Program::denseSpan);
+// stack and buffer live on sparse pages.
+constexpr uint32_t kHarnessText = 0x100000;
+constexpr uint32_t kHarnessBuf = 0x10000;
+constexpr uint32_t kHarnessStack = 0x40000;
+constexpr uint32_t kHarnessBufWords[] = {
+    0x89ABCDEF, 0x01234567, 0xF00DFACE, 0x5A5A5A5A, 0, 0, 0, 0,
+};
+
+using HarnessRegs = std::array<uint32_t, kNumRegsE>;
+
+/** A text-only program holding @p words from kHarnessText. */
+Program
+wordProgram(const std::vector<uint32_t> &words)
+{
+    Segment text;
+    text.base = kHarnessText;
+    for (uint32_t word : words)
+        for (unsigned b = 0; b < 4; ++b)
+            text.bytes.push_back(static_cast<uint8_t>(word >> (8 * b)));
+    Program program;
+    program.entry = kHarnessText;
+    program.textBase = kHarnessText;
+    program.textSize = static_cast<uint32_t>(text.bytes.size());
+    program.segments.push_back(std::move(text));
+    return program;
+}
+
+/** Load @p program into @p sim with @p regs and a freshly seeded
+ *  buffer (data only, so the icache contract holds) and run it;
+ *  true when it halted. */
+bool
+runHarness(RefSim &sim, const Program &program, const HarnessRegs &regs)
+{
+    sim.reset(program);
+    for (unsigned reg_i = 1; reg_i < kNumRegsE; ++reg_i)
+        sim.setReg(reg_i, regs[reg_i]);
+    for (size_t w = 0; w < std::size(kHarnessBufWords); ++w)
+        sim.memory().storeWord(kHarnessBuf + 4 * w, kHarnessBufWords[w]);
+    return sim.run(100'000).reason == StopReason::Halted;
+}
+
+/** x1–x15 and the whole scratch buffer agree. */
+bool
+sameHarnessState(const RefSim &a, const RefSim &b)
+{
+    for (unsigned reg_i = 1; reg_i < kNumRegsE; ++reg_i)
+        if (a.reg(reg_i) != b.reg(reg_i))
+            return false;
+    for (size_t w = 0; w < std::size(kHarnessBufWords); ++w) {
+        const uint32_t addr = kHarnessBuf + 4 * w;
+        if (a.memory().loadWord(addr) != b.memory().loadWord(addr))
+            return false;
+    }
+    return true;
+}
+
 } // namespace
 
-Retargeter::Retargeter(const InstrSubset &target, uint64_t seed)
-    : targetSubset(target), rng(seed)
+Retargeter::Retargeter(const InstrSubset &target, uint64_t seed,
+                       MacroVerifier verifier)
+    : targetSubset(target), rng(seed), verify(std::move(verifier))
 {
     const Status status = validateTarget(target);
     if (!status)
@@ -108,7 +173,7 @@ Retargeter::minimalSubset()
 }
 
 bool
-Retargeter::verifyCandidate(Op op, const std::string &body)
+Retargeter::verifyMacro(Op op, const std::string &body)
 {
     // Directed operand/alias cases: the macro must behave exactly
     // like the original instruction for every register pattern a
@@ -123,148 +188,121 @@ Retargeter::verifyCandidate(Op op, const std::string &body)
         0, 1, -1, 5, -5, 127, 128, 255, 256, 0x7FFFFFFF,
         static_cast<int32_t>(0x80000000), 0x1234, -0x1234,
     };
+    const InstrType type = opInfo(op).type;
+    const bool memory_op = isLoad(op) || isStore(op);
+    const bool shift_imm =
+        op == Op::Slli || op == Op::Srli || op == Op::Srai;
     const std::string macro_def = wrapMacro(op, body);
+
+    // One simulator per side, reused across trials; the macro side
+    // assembles each distinct invocation once (R- and B-type
+    // invocations repeat across all trials of a combo).
+    RefSim native_sim;
+    RefSim macro_sim;
+    std::map<std::string, Program> macro_programs;
+
+    // One trial: @p word is the encoded instruction under test.
+    auto trial = [&](const Combo &c, int32_t v1, int32_t v2,
+                     uint32_t word) {
+        const Instr in = decode(word);
+        const std::string invocation =
+            rewriteLine(in, type == InstrType::B ? "done_path" : "");
+        auto it = macro_programs.find(invocation);
+        if (it == macro_programs.end()) {
+            std::string src = macro_def + "_start:\n    " +
+                invocation + "\n";
+            if (type == InstrType::B)
+                src += "    addi x7, zero, 999\n";
+            src += "done_path:\n    ecall\n";
+            AsmOptions layout;
+            layout.textBase = kHarnessText;
+            AsmResult assembled = tryAssemble(src, layout);
+            if (!assembled.ok)
+                return false;
+            it = macro_programs
+                     .emplace(invocation, std::move(assembled.program))
+                     .first;
+        }
+        // For branches, the not-taken path must be distinguishable
+        // from the taken one (offset 8 skips the marker).
+        std::vector<uint32_t> native = {word};
+        if (type == InstrType::B)
+            native.push_back(encodeI(Op::Addi, 7, 0, 999));
+        native.push_back(encodeSys(Op::Ecall));
+
+        // Known register file; the loads/stores hit the buffer via
+        // c.rs1 (an rs1 == rs2 alias then stores the address).
+        HarnessRegs regs;
+        for (unsigned reg_i = 1; reg_i < kNumRegsE; ++reg_i)
+            regs[reg_i] = 0x1000 + reg_i * 0x111;
+        regs[reg::sp] = kHarnessStack;
+        regs[c.rs2] = static_cast<uint32_t>(v2);
+        regs[c.rs1] = memory_op ? kHarnessBuf
+                                : static_cast<uint32_t>(v1);
+        return runHarness(native_sim, wordProgram(native), regs) &&
+            runHarness(macro_sim, it->second, regs) &&
+            sameHarnessState(native_sim, macro_sim);
+    };
 
     Rng vrng(0xC0FFEE ^ static_cast<uint64_t>(op));
     for (const Combo &c : combos) {
-        for (int trial = 0; trial < 10; ++trial) {
-            const int32_t v1 = trial < 6
-                ? values[(trial * 2) % std::size(values)]
+        for (int t = 0; t < 10; ++t) {
+            const int32_t v1 = t < 6
+                ? values[(t * 2) % std::size(values)]
                 : static_cast<int32_t>(vrng.next32());
-            const int32_t v2 = trial < 6
-                ? values[(trial * 2 + 3) % std::size(values)]
+            const int32_t v2 = t < 6
+                ? values[(t * 2 + 3) % std::size(values)]
                 : static_cast<int32_t>(vrng.next32());
             int32_t imm = vrng.range(-2048, 2047);
-            if (op == Op::Slli || op == Op::Srli || op == Op::Srai)
+            if (shift_imm)
                 imm = vrng.range(1, 31);
 
-            // Build the instruction under test.
-            std::string native;
-            std::string invocation;
-            const std::string tgt = "done_path";
-            switch (opInfo(op).type) {
-              case InstrType::R: {
-                Instr in = decode(encodeR(op, c.rd, c.rs1, c.rs2));
-                native = nativeLine(in, "");
-                invocation = rewriteLine(in, "");
+            // The instruction under test.
+            uint32_t word = 0;
+            switch (type) {
+              case InstrType::R:
+                word = encodeR(op, c.rd, c.rs1, c.rs2);
                 break;
-              }
-              case InstrType::I: {
+              case InstrType::I:
                 if (isLoad(op)) {
                     const unsigned width =
                         op == Op::Lw ? 4
                         : (op == Op::Lh || op == Op::Lhu) ? 2 : 1;
-                    const int32_t off = static_cast<int32_t>(
+                    imm = static_cast<int32_t>(
                         vrng.below(16 / width) * width);
-                    Instr in = decode(
-                        encodeI(op, c.rd, c.rs1, off));
-                    native = nativeLine(in, "");
-                    invocation = rewriteLine(in, "");
-                    break;
                 }
-                Instr in = decode(encodeI(op, c.rd, c.rs1, imm));
-                native = nativeLine(in, "");
-                invocation = rewriteLine(in, "");
+                word = encodeI(op, c.rd, c.rs1, imm);
                 break;
-              }
               case InstrType::S: {
                 const unsigned width = op == Op::Sw ? 4
                     : op == Op::Sh ? 2 : 1;
-                const int32_t off = static_cast<int32_t>(
-                    vrng.below(16 / width) * width);
-                Instr in = decode(encodeS(op, c.rs1, c.rs2, off));
-                native = nativeLine(in, "");
-                invocation = rewriteLine(in, "");
+                word = encodeS(op, c.rs1, c.rs2,
+                               static_cast<int32_t>(
+                                   vrng.below(16 / width) * width));
                 break;
               }
-              case InstrType::B: {
-                Instr in = decode(encodeB(op, c.rs1, c.rs2, 8));
-                native = nativeLine(in, tgt);
-                invocation = rewriteLine(in, tgt);
+              case InstrType::B:
+                word = encodeB(op, c.rs1, c.rs2, 8);
                 break;
-              }
-              case InstrType::U: {
-                Instr in = decode(encodeU(
-                    op, c.rd,
-                    static_cast<int32_t>(vrng.next32() & 0xFFFFF)));
-                native = nativeLine(in, "");
-                invocation = rewriteLine(in, "");
+              case InstrType::U:
+                word = encodeU(op, c.rd,
+                               static_cast<int32_t>(
+                                   vrng.next32() & 0xFFFFF));
                 break;
-              }
               default:
                 return false;
             }
-
-            // Shared harness: known register file, a scratch buffer
-            // the loads/stores hit via c.rs1, results dumped to the
-            // signature.
-            auto harness = [&](const std::string &insn_line,
-                               const std::string &defs) {
-                std::string src = defs;
-                src += "    .data\nsignature:\n    .space 96\n"
-                    "buf:\n    .word 0x89ABCDEF, 0x01234567,"
-                    " 0xF00DFACE, 0x5A5A5A5A\n"
-                    "    .space 16\n    .text\n_start:\n"
-                    "    li sp, 0x40000\n";
-                for (unsigned reg_i = 5; reg_i <= 15; ++reg_i) {
-                    int32_t v = reg_i == c.rs1 ? v1
-                        : reg_i == c.rs2 ? v2
-                        : static_cast<int32_t>(
-                              0x1000 + reg_i * 0x111);
-                    if ((isLoad(op) || isStore(op)) &&
-                        reg_i == c.rs1)
-                        src += strFormat(
-                            "    la x%u, buf\n", reg_i);
-                    else
-                        src += strFormat("    li x%u, %d\n", reg_i,
-                                         v);
-                }
-                // rs1 == rs2 alias for memory ops would make the
-                // base a data value; keep whatever la/li produced.
-                src += "    " + insn_line + "\n";
-                // For branches, the not-taken path must be
-                // distinguishable from the taken one.
-                if (opInfo(op).type == InstrType::B)
-                    src += "    li x7, 999\n";
-                src += "done_path:\n";
-                src += "    la x1, signature\n";
-                for (unsigned reg_i = 5; reg_i <= 15; ++reg_i)
-                    src += strFormat("    sw x%u, %u(x1)\n", reg_i,
-                                     (reg_i - 5) * 4);
-                // Store buffer back for store-op comparison.
-                src += "    la x1, buf\n";
-                for (unsigned w = 0; w < 4; ++w) {
-                    src += strFormat("    lw x5, %u(x1)\n", w * 4);
-                    src += strFormat("    la x6, signature\n");
-                    src += strFormat("    sw x5, %u(x6)\n",
-                                     44 + w * 4);
-                }
-                src += "    ecall\n";
-                return src;
-            };
-
-            AsmResult ref_asm = tryAssemble(harness(native, ""));
-            AsmResult exp_asm =
-                tryAssemble(harness(invocation, macro_def));
-            if (!ref_asm.ok || !exp_asm.ok)
+            if (!trial(c, v1, v2, word))
                 return false;
-
-            RefSim a;
-            a.reset(ref_asm.program);
-            RunResult ra_run = a.run(100'000);
-            RefSim b;
-            b.reset(exp_asm.program);
-            RunResult rb_run = b.run(100'000);
-            if (ra_run.reason != StopReason::Halted ||
-                rb_run.reason != StopReason::Halted)
-                return false;
-            const uint32_t sig_a =
-                ref_asm.program.symbol("signature");
-            const uint32_t sig_b =
-                exp_asm.program.symbol("signature");
-            for (uint32_t off = 0; off < 60; off += 4) {
-                if (a.memory().loadWord(sig_a + off) !=
-                    b.memory().loadWord(sig_b + off))
+        }
+        // Both ends of the shift range on a value with the sign and
+        // low bits set, after the seeded trials so no vrng draw moves
+        // (shift-by-zero never reaches a macro: rewriteLine lowers it
+        // to addi).
+        if (shift_imm) {
+            const int32_t v = static_cast<int32_t>(0x80000001);
+            for (const int32_t sh : {1, 31}) {
+                if (!trial(c, v, v, encodeI(op, c.rd, c.rs1, sh)))
                     return false;
             }
         }
@@ -297,7 +335,7 @@ Retargeter::synthesizeMacro(Op op)
         ++result.attempts;
         if (result.attempts > 10)
             break;
-        if (verifyCandidate(op, candidate)) {
+        if (verify(op, candidate)) {
             result.body = candidate;
             result.verified = true;
             return result;
@@ -362,13 +400,31 @@ Retargeter::reconstruct(const Program &program,
     }
 
     // Data segments are carried over byte-exact at the same base, so
-    // absolute addresses materialized in the code stay valid.
+    // absolute addresses materialized in the code stay valid. Whole
+    // words go out as numeric .word (which does not auto-align, so
+    // the bytes land where they were), eight to a line, the tail as
+    // one .byte line.
     for (const Segment &seg : program.segments) {
         if (seg.base == program.textBase)
             continue;
         out += "    .data\n";
-        for (size_t i = 0; i < seg.bytes.size(); ++i)
-            out += strFormat("    .byte %u\n", seg.bytes[i]);
+        const std::vector<uint8_t> &bytes = seg.bytes;
+        const size_t words = bytes.size() / 4;
+        for (size_t w = 0; w < words; ++w) {
+            const size_t i = 4 * w;
+            out += w % 8 == 0 ? "    .word " : ", ";
+            out += strFormat("0x%08x", bytes[i] |
+                             uint32_t{bytes[i + 1]} << 8 |
+                             uint32_t{bytes[i + 2]} << 16 |
+                             uint32_t{bytes[i + 3]} << 24);
+            if (w % 8 == 7 || w + 1 == words)
+                out += "\n";
+        }
+        for (size_t i = 4 * words; i < bytes.size(); ++i)
+            out += strFormat(i == 4 * words ? "    .byte %u" : ", %u",
+                             bytes[i]);
+        if (bytes.size() % 4 != 0)
+            out += "\n";
     }
     return out;
 }

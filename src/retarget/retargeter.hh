@@ -16,12 +16,25 @@
  *     offending instruction into its canonical macro invocation, and
  *     reassembles — the retargeted binary then runs on the subset
  *     processor unchanged.
+ *
+ * Verification (`verifyMacro`) runs each trial twice on the full-ISA
+ * reference simulator from one register file and one scratch buffer:
+ * once as the already-encoded instruction followed by `ecall`, once
+ * as the assembled macro invocation followed by `ecall`. The trial
+ * passes when x1–x15 and the whole buffer agree afterwards, so a
+ * body must produce the instruction's result *and* keep its promise
+ * to restore ra, sp and t0. The verdict is a pure function of
+ * (op, body) — independent of the target subset and of the
+ * Retargeter's seed — which is what lets a service memoize it (the
+ * `verifier` hook; flow::StageCaches::macroVerdict).
  */
 
 #ifndef RISSP_RETARGET_RETARGETER_HH
 #define RISSP_RETARGET_RETARGETER_HH
 
+#include <functional>
 #include <set>
+#include <string>
 
 #include "core/subset.hh"
 #include "retarget/macro_library.hh"
@@ -65,18 +78,28 @@ struct RetargetResult
     }
 };
 
+/** Decides whether a candidate body implements its op. */
+using MacroVerifier =
+    std::function<bool(Op op, const std::string &body)>;
+
 /** The retargeting tool. */
 class Retargeter
 {
   public:
+    /** The generator seed every caller uses unless it asks. */
+    static constexpr uint64_t kDefaultSeed = 0x6E47;
+
     /**
-     * @param target the subset the fabricated RISSP supports; must
+     * @param target   the subset the fabricated RISSP supports; must
      *        satisfy validateTarget() (panic() otherwise)
-     * @param seed   drives the generator's candidate ordering (how
+     * @param seed     drives the generator's candidate ordering (how
      *        many hallucinated attempts precede the good one)
+     * @param verifier judges each candidate; must agree with
+     *        verifyMacro (a memoizing wrapper, say)
      */
     explicit Retargeter(const InstrSubset &target,
-                        uint64_t seed = 0x6E47);
+                        uint64_t seed = kDefaultSeed,
+                        MacroVerifier verifier = verifyMacro);
 
     /** The paper's minimal 12-instruction subset. */
     static InstrSubset minimalSubset();
@@ -85,6 +108,11 @@ class Retargeter
      *  {addi, add, and, xori, sll, sra, jal, jalr, blt, bltu, lw,
      *  sw}; call before constructing a Retargeter from user input. */
     static Status validateTarget(const InstrSubset &target);
+
+    /** True when @p body, wrapped as @p op's macro, behaves exactly
+     *  like @p op over the directed operand, alias and value trials
+     *  (see the file comment). Pure: same inputs, same verdict. */
+    static bool verifyMacro(Op op, const std::string &body);
 
     /** Synthesize + verify the macro for one instruction. */
     MacroExpansion synthesizeMacro(Op op);
@@ -101,10 +129,9 @@ class Retargeter
                                     const std::set<Op> &rewrite) const;
 
   private:
-    bool verifyCandidate(Op op, const std::string &body);
-
     InstrSubset targetSubset;
     Rng rng;
+    MacroVerifier verify;
 };
 
 } // namespace rissp

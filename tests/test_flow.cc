@@ -9,19 +9,22 @@
  *
  * Also pins down the service properties a daemon depends on: stage
  * granularity (partial results survive downstream failures), shared
- * memoization across request verbs, reentrancy under concurrent
- * callers, the scheduler task count of each verb's stage table, and
- * the fold of an internal stage exception into a response.
+ * memoization across request verbs and retarget macro verdicts,
+ * reentrancy under concurrent callers, the scheduler task count of
+ * each verb's stage table, and the fold of an internal stage
+ * exception into a response.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 #include <thread>
 
 #include "flow/flow.hh"
 #include "flow/json.hh"
 #include "store/artifact_store.hh"
+#include "workloads/workloads.hh"
 
 namespace rissp::flow
 {
@@ -311,6 +314,80 @@ TEST(FlowRetarget, MinimalTargetRoundTrips)
     ASSERT_TRUE(response.equivalence.run);
     EXPECT_TRUE(response.equivalence.matched);
     EXPECT_EQ(response.equivalence.dutReason, StopReason::Halted);
+}
+
+/** A bundled workload's source behind a comment, so it compiles to
+ *  the same program under a compile-cache key of its own. */
+SourceRef
+saltedWorkload(const std::string &name, int salt)
+{
+    return SourceRef::inlineText("/* salt " + std::to_string(salt) +
+                                     " */\n" + workloadByName(name).source,
+                                 name);
+}
+
+TEST(FlowRetarget, SecondSourceReusesEveryMacroVerdict)
+{
+    FlowService service;
+    RetargetRequest request;
+    request.source = saltedWorkload("crc32", 1);
+    ASSERT_TRUE(service.retarget(request).status.isOk());
+    const MemoCache<uint64_t, bool> &verdicts =
+        service.caches()->macroVerdict;
+    const uint64_t misses = verdicts.misses();
+    EXPECT_GT(misses, 0u);
+    EXPECT_EQ(verdicts.hits(), 0u);
+
+    request.source = saltedWorkload("crc32", 2);
+    ASSERT_TRUE(service.retarget(request).status.isOk());
+    EXPECT_EQ(service.stats().compileMisses, 2u);
+    EXPECT_EQ(verdicts.misses(), misses);
+    EXPECT_EQ(verdicts.hits(), misses);
+}
+
+TEST(FlowAsync, ConcurrentRetargetsVerifyEachCandidateOnce)
+{
+    const char *apps[] = {"crc32", "armpit", "xgboost", "af_detect"};
+
+    // The distinct (op, body) candidates the four programs put in
+    // front of the verifier, seen through the verifier hook.
+    std::set<uint64_t> keys;
+    for (const char *app : apps) {
+        const minic::CompileResult cr = minic::compile(
+            workloadByName(app).source, minic::OptLevel::O2);
+        Retargeter tool(Retargeter::minimalSubset(),
+                        Retargeter::kDefaultSeed,
+                        [&keys](Op op, const std::string &body) {
+                            keys.insert(macroVerdictKey(op, body));
+                            return Retargeter::verifyMacro(op, body);
+                        });
+        ASSERT_TRUE(tool.retarget(cr.program).ok) << app;
+    }
+
+    std::vector<RetargetRequest> requests(8);
+    for (size_t i = 0; i < requests.size(); ++i)
+        requests[i].source =
+            saltedWorkload(apps[i % std::size(apps)], static_cast<int>(i));
+    FlowService service;
+    std::vector<std::future<Response>> futures;
+    for (const RetargetRequest &request : requests)
+        futures.push_back(service.submitAsync(Request(request)));
+    uint64_t lookups = 0;
+    for (size_t i = 0; i < requests.size(); ++i) {
+        const Response response = futures[i].get();
+        ASSERT_TRUE(responseStatus(response).isOk()) << i;
+        for (const MacroExpansion &m :
+             std::get<RetargetResponse>(response).retarget.result.macros)
+            lookups += m.attempts;
+        const FlowService fresh;
+        EXPECT_EQ(toJson(response),
+                  toJson(Response(fresh.retarget(requests[i]))))
+            << i;
+    }
+    const MemoCache<uint64_t, bool> &verdicts =
+        service.caches()->macroVerdict;
+    EXPECT_EQ(verdicts.misses(), keys.size());
+    EXPECT_EQ(verdicts.hits() + verdicts.misses(), lookups);
 }
 
 // ------------------------------------------------------- explore

@@ -272,7 +272,7 @@ TEST(ServeEndpoints, MetricsShape)
     const JsonValue *caches = metrics.value().find("caches");
     ASSERT_NE(caches, nullptr);
     for (const char *stage :
-         {"compile", "sim", "synth", "synth_report"}) {
+         {"compile", "sim", "synth", "synth_report", "macro_verdict"}) {
         const JsonValue *entry = caches->find(stage);
         ASSERT_NE(entry, nullptr) << stage;
         EXPECT_NE(entry->find("hits"), nullptr);
