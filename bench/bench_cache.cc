@@ -44,6 +44,20 @@ secondsSince(Clock::time_point start)
         .count();
 }
 
+/** Open the store at @p dir, or exit: the bench measures it. */
+std::shared_ptr<store::DiskStore>
+openStore(const std::string &dir)
+{
+    Result<std::shared_ptr<store::DiskStore>> opened =
+        store::DiskStore::open(dir);
+    if (!opened.isOk()) {
+        std::fprintf(stderr, "bench_cache: %s\n",
+                     opened.status().toString().c_str());
+        std::exit(1);
+    }
+    return opened.take();
+}
+
 struct BootResult
 {
     double coldSeconds = 0;
@@ -84,9 +98,9 @@ runBootScenario(const std::string &dir, bool quick)
           "subset full   = @full\n";
 
     BootResult result;
-    flow::ServiceOptions options;
-    options.cacheDir = dir;
     {
+        flow::ServiceOptions options;
+        options.artifacts = openStore(dir);
         const flow::FlowService cold(options);
         const auto start = Clock::now();
         const flow::ExploreResponse response = cold.explore(request);
@@ -99,13 +113,12 @@ runBootScenario(const std::string &dir, bool quick)
         result.coldWrites =
             cold.caches()->artifacts->stats().writes;
     }
-    {
-        Result<std::shared_ptr<store::DiskStore>> opened =
-            store::DiskStore::open(dir);
-        if (opened.isOk())
-            result.storeBytes = opened.value()->usage().bytes;
-    }
-
+    // The warm boot opens the directory afresh, as a new process
+    // would.
+    flow::ServiceOptions options;
+    const std::shared_ptr<store::DiskStore> warmStore = openStore(dir);
+    result.storeBytes = warmStore->usage().bytes;
+    options.artifacts = warmStore;
     const flow::FlowService warm(options);
     const auto start = Clock::now();
     const flow::ExploreResponse response = warm.explore(request);
@@ -153,14 +166,7 @@ runIoScenario(const std::string &dir, uint64_t records)
 {
     IoResult result;
     result.records = records;
-    Result<std::shared_ptr<store::DiskStore>> opened =
-        store::DiskStore::open(dir);
-    if (!opened.isOk()) {
-        std::fprintf(stderr, "bench_cache: %s\n",
-                     opened.status().toString().c_str());
-        std::exit(1);
-    }
-    std::shared_ptr<store::DiskStore> diskStore = opened.take();
+    const std::shared_ptr<store::DiskStore> diskStore = openStore(dir);
 
     constexpr size_t kPayload = 16 * 1024;
     std::vector<uint8_t> payload(kPayload);

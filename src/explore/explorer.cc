@@ -18,6 +18,9 @@ namespace rissp::explore
 namespace
 {
 
+/** Cycle budget of each point's run and cosim. */
+constexpr uint64_t kMaxSteps = 500'000'000;
+
 /** Tech used when a plan names none: the registry default. */
 const TechSpec &
 defaultTechSpec()
@@ -120,7 +123,7 @@ Explorer::simulatePoint(const InstrSubset &subset,
     flow::SimOutcome out;
     Rissp chip(subset, "explore");
     chip.reset(compiled.program);
-    const RunResult run = chip.run(opts.maxSteps);
+    const RunResult run = chip.run(kMaxSteps);
     out.trapped = run.reason == StopReason::Trapped;
     out.cycles = run.instret;
     out.exitCode = run.exitCode;
@@ -132,7 +135,7 @@ Explorer::simulatePoint(const InstrSubset &subset,
         out.cosimPassed = true; // assumed, not checked
     } else {
         CosimOptions cosim;
-        cosim.maxSteps = opts.maxSteps;
+        cosim.maxSteps = kMaxSteps;
         cosim.contextEvents = 0; // only the verdict is tabulated
         out.cosimPassed =
             cosimulate(compiled.program, subset, cosim).passed;
@@ -154,7 +157,8 @@ Explorer::synthesizePoint(const InstrSubset &subset,
     out.epiNj = report.epiNanojoules(1.0, tech); // CPI = 1, §4.2.4
     if (opts.physical) {
         const PhysicalModel phys(tech);
-        const PhysReport placed = phys.implement(report, opts.rfStyle);
+        const PhysReport placed =
+            phys.implement(report, RfStyle::LatchArray);
         out.physRun = true;
         out.dieAreaMm2 = placed.dieAreaMm2;
         out.physPowerMw = placed.powerMw;

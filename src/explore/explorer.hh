@@ -51,8 +51,6 @@ struct ExplorerOptions
     bool verify = true;       ///< lock-step cosim vs the reference ISS
     bool synthesize = true;   ///< frequency-sweep synthesis
     bool physical = false;    ///< P&R model (adds die area/power)
-    uint64_t maxSteps = 500'000'000; ///< per-run cycle budget
-    RfStyle rfStyle = RfStyle::LatchArray;
 };
 
 /** Cache statistics over *this engine's* lookups: a miss is the
@@ -63,7 +61,7 @@ struct ExplorerOptions
  *  engine has swept: deterministic across thread counts, service
  *  warmth and processes, which is what lets two services produce
  *  byte-identical explore responses. (Service-cumulative cache
- *  counters live on `FlowService::stats()`.) */
+ *  counters live on the shared `flow::StageCaches`.) */
 struct ExplorerStats
 {
     uint64_t points = 0;       ///< points explored so far

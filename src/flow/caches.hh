@@ -174,12 +174,10 @@ macroVerdictKey(Op op, const std::string &body)
  *  by a request verb, or they stop sharing work. */
 inline uint64_t
 sourceKey(const std::string &name, const std::string &source,
-          minic::OptLevel level, bool custom_mul = false)
+          minic::OptLevel level)
 {
-    return explore::workloadFingerprint(
-        name, source,
-        static_cast<uint8_t>(
-            static_cast<uint8_t>(level) | (custom_mul ? 0x80 : 0)));
+    return explore::workloadFingerprint(name, source,
+                                        static_cast<uint8_t>(level));
 }
 
 } // namespace rissp::flow

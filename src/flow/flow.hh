@@ -173,7 +173,6 @@ struct CharacterizeRequest
 {
     SourceRef source;
     minic::OptLevel opt = minic::OptLevel::O2;
-    minic::MachineOptions machine;
 };
 
 struct CharacterizeResponse
@@ -225,8 +224,7 @@ struct SynthRequest
      *  temporary is safe. */
     explore::TechSpec tech;
     bool baselines = true;   ///< also synthesize RV32E + Serv
-    bool physical = true;    ///< P&R the app design
-    RfStyle rfStyle = RfStyle::LatchArray;
+    bool physical = true;    ///< P&R the app design (latch-array RF)
 };
 
 struct SynthResponse
@@ -280,7 +278,7 @@ struct ExploreResponse
      *  persistent store under them) already were. The response,
      *  including its toJson form, is therefore byte-identical across
      *  services, boots and thread counts for the same request; the
-     *  service-cumulative view lives on `FlowService::stats()`. */
+     *  service-cumulative counters are on `FlowService::caches()`. */
     explore::ExplorerStats stats;
 };
 
@@ -306,15 +304,9 @@ struct ServiceOptions
      *  concurrency); the scheduler starts lazily on first use. */
     unsigned schedulerThreads = 0;
 
-    /** Attach a persistent `store::DiskStore` at this directory
-     *  (created on first use); empty = in-memory caches only. An
-     *  unusable directory is reported with warn() and the service
-     *  runs without persistence — the store is an optimization, not
-     *  a dependency. CLIs that want a loud failure open the store
-     *  themselves and pass it via `artifacts`. */
-    std::string cacheDir;
-
-    /** Explicit store to attach; wins over cacheDir. */
+    /** Persistent store to attach (e.g. a `store::DiskStore` the
+     *  caller opened, so it decides what an unusable directory
+     *  means); null = in-memory caches only. */
     std::shared_ptr<store::ArtifactStore> artifacts;
 };
 
@@ -392,10 +384,6 @@ class FlowService
      *  has settled and returns responses in request order. */
     std::vector<Response>
     runBatch(const std::vector<Request> &requests) const;
-
-    /** Cumulative cache statistics across all requests served
-     *  (`points` stays 0 — it is a per-Explorer counter). */
-    explore::ExplorerStats stats() const;
 
     const std::shared_ptr<StageCaches> &caches() const
     {

@@ -21,8 +21,6 @@
 
 #include "core/rissp.hh"
 #include "serv/serv_model.hh"
-#include "store/disk_store.hh"
-#include "util/logging.hh"
 #include "workloads/workloads.hh"
 
 namespace rissp::flow
@@ -49,8 +47,7 @@ fillCompileStage(CompileStage &stage,
 /** Resolve + compile a source, memoized in the shared cache. */
 Result<minic::CompileResult>
 compileSource(StageCaches &caches, const SourceRef &source,
-              minic::OptLevel opt,
-              const minic::MachineOptions &machine = {})
+              minic::OptLevel opt)
 {
     const std::string *text = &source.text;
     const std::string *label = &source.label;
@@ -63,10 +60,8 @@ compileSource(StageCaches &caches, const SourceRef &source,
         text = &wl->source;
         label = &wl->name;
     }
-    const uint64_t key =
-        sourceKey(*label, *text, opt, machine.customMul);
-    return caches.compileLookup(key, [&] {
-        return minic::tryCompile(*text, opt, machine);
+    return caches.compileLookup(sourceKey(*label, *text, opt), [&] {
+        return minic::tryCompile(*text, opt);
     });
 }
 
@@ -105,8 +100,8 @@ void
 characterizeStage(const Caches &caches, Job<CharacterizeRequest> &job)
 {
     const CharacterizeRequest &request = job.request;
-    const Result<minic::CompileResult> compiled = compileSource(
-        *caches, request.source, request.opt, request.machine);
+    const Result<minic::CompileResult> compiled =
+        compileSource(*caches, request.source, request.opt);
     if (!compiled) {
         job.response.status = compiled.status();
         return;
@@ -333,7 +328,7 @@ synthFinishStage(const Caches &, Job<SynthRequest> &job)
         const PhysicalModel phys(job.request.tech.tech);
         job.response.phys.run = true;
         job.response.phys.report =
-            phys.implement(synth.app, job.request.rfStyle);
+            phys.implement(synth.app, RfStyle::LatchArray);
     }
 }
 
@@ -596,19 +591,8 @@ FlowService::FlowService(const ServiceOptions &options,
                          std::shared_ptr<StageCaches> caches)
     : FlowService(std::move(caches), options.schedulerThreads)
 {
-    std::shared_ptr<store::ArtifactStore> artifacts =
-        options.artifacts;
-    if (!artifacts && !options.cacheDir.empty()) {
-        Result<std::shared_ptr<store::DiskStore>> opened =
-            store::DiskStore::open(options.cacheDir);
-        if (opened.isOk())
-            artifacts = opened.take();
-        else
-            warn("flow: persistent cache disabled: %s",
-                 opened.status().toString().c_str());
-    }
-    if (artifacts && !stageCaches->artifacts)
-        stageCaches->artifacts = std::move(artifacts);
+    if (options.artifacts && !stageCaches->artifacts)
+        stageCaches->artifacts = options.artifacts;
 }
 
 exec::Scheduler &
@@ -700,19 +684,6 @@ FlowService::runBatch(const std::vector<Request> &requests) const
     for (std::future<Response> &future : futures)
         responses.push_back(future.get());
     return responses;
-}
-
-explore::ExplorerStats
-FlowService::stats() const
-{
-    explore::ExplorerStats s;
-    s.compileHits = stageCaches->compile.hits();
-    s.compileMisses = stageCaches->compile.misses();
-    s.simHits = stageCaches->sim.hits();
-    s.simMisses = stageCaches->sim.misses();
-    s.synthHits = stageCaches->synth.hits();
-    s.synthMisses = stageCaches->synth.misses();
-    return s;
 }
 
 } // namespace rissp::flow

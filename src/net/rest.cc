@@ -1,7 +1,7 @@
 #include "net/rest.hh"
 
-#include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <vector>
 
 namespace rissp::net
@@ -10,276 +10,275 @@ namespace rissp::net
 namespace
 {
 
-/** Reject members outside @p verb's schema, naming the first
- *  offender. */
-Status
-checkFields(const JsonValue &body, Verb verb)
+/** A field present in a body: its name, for diagnostics, and its
+ *  value. Each reader checks the value and stores it in @p out. */
+struct Present
+{
+    const char *name;
+    const JsonValue &value;
+
+    Status
+    wrongKind(const char *wanted) const
+    {
+        return Status::errorf(ErrorCode::InvalidArgument,
+                              "field '%s' must be a %s, not a %s", name,
+                              wanted, JsonValue::kindName(value.kind()));
+    }
+
+    Status
+    read(std::string &out) const
+    {
+        if (!value.isString())
+            return wrongKind("string");
+        out = value.asString();
+        return Status::ok();
+    }
+
+    /** A string whose empty value keeps @p out's default. */
+    Status
+    readNonEmpty(std::string &out) const
+    {
+        if (!value.isString())
+            return wrongKind("string");
+        if (!value.asString().empty())
+            out = value.asString();
+        return Status::ok();
+    }
+
+    Status
+    read(bool &out) const
+    {
+        if (!value.isBool())
+            return wrongKind("bool");
+        out = value.asBool();
+        return Status::ok();
+    }
+
+    template <typename Count>
+    Status
+    readCount(uint64_t max, Count &out) const
+    {
+        if (!value.isNumber())
+            return wrongKind("number");
+        const double number = value.asNumber();
+        if (number < 0 || number > static_cast<double>(max) ||
+            number != std::floor(number))
+            return Status::errorf(ErrorCode::InvalidArgument,
+                                  "field '%s' must be an integer in "
+                                  "[0, %llu]",
+                                  name,
+                                  static_cast<unsigned long long>(max));
+        out = static_cast<Count>(number);
+        return Status::ok();
+    }
+
+    Status
+    read(minic::OptLevel &out) const
+    {
+        if (!value.isString())
+            return wrongKind("string");
+        const std::string &opt = value.asString();
+        if (opt == "O0") out = minic::OptLevel::O0;
+        else if (opt == "O1") out = minic::OptLevel::O1;
+        else if (opt == "O2") out = minic::OptLevel::O2;
+        else if (opt == "O3") out = minic::OptLevel::O3;
+        else if (opt == "Oz") out = minic::OptLevel::Oz;
+        else
+            return Status::errorf(ErrorCode::InvalidArgument,
+                                  "field '%s' must be one of O0, O1, "
+                                  "O2, O3, Oz, not '%s'",
+                                  name, opt.c_str());
+        return Status::ok();
+    }
+
+    /** A mnemonic array → subset. */
+    Status
+    read(std::optional<InstrSubset> &out) const
+    {
+        if (!value.isArray())
+            return wrongKind("array");
+        std::vector<std::string> names;
+        for (const JsonValue &item : value.items()) {
+            if (!item.isString())
+                return Status::errorf(ErrorCode::InvalidArgument,
+                                      "field '%s' must hold mnemonic "
+                                      "strings",
+                                      name);
+            names.push_back(item.asString());
+        }
+        Result<InstrSubset> subset = InstrSubset::tryFromNames(names);
+        if (!subset)
+            return subset.status();
+        out = subset.take();
+        return Status::ok();
+    }
+
+    /** A tech spec; empty keeps the default technology. */
+    Status
+    read(explore::TechSpec &out) const
+    {
+        std::string spec;
+        const Status status = readNonEmpty(spec);
+        if (!status || spec.empty())
+            return status;
+        Result<explore::TechSpec> parsed =
+            explore::TechSpec::fromSpec(spec);
+        if (!parsed)
+            return parsed.status();
+        out = parsed.take();
+        return Status::ok();
+    }
+};
+
+/** One row of a verb's table: a body field, how a present value is
+ *  applied to the request under construction, and whether it is one
+ *  of the alternatives of which a body gives exactly one. */
+template <typename Req>
+struct Field
+{
+    const char *name;
+    Status (*apply)(const Present &field, Req &request);
+    bool oneOf = false;
+};
+
+template <typename Req>
+using Fields = std::vector<Field<Req>>;
+
+constexpr uint64_t kMaxSteps = uint64_t{1} << 53;
+
+/** The rows the four source verbs share, then @p rows. */
+template <typename Req>
+Fields<Req>
+sourceFields(std::initializer_list<Field<Req>> rows)
+{
+    Fields<Req> fields = {
+        {"workload",
+         [](auto &f, auto &r) { return f.read(r.source.workload); }, true},
+        {"source", [](auto &f, auto &r) { return f.read(r.source.text); },
+         true},
+        {"label",
+         [](auto &f, auto &r) { return f.readNonEmpty(r.source.label); }},
+        {"opt", [](auto &f, auto &r) { return f.read(r.opt); }},
+    };
+    fields.insert(fields.end(), rows);
+    return fields;
+}
+
+/** The request schema: one field table per verb, in the order the
+ *  fields are applied (and their faults reported). */
+struct Schema
+{
+    Fields<flow::CharacterizeRequest> characterize =
+        sourceFields<flow::CharacterizeRequest>({});
+
+    Fields<flow::RunRequest> run = sourceFields<flow::RunRequest>({
+        {"verify", [](auto &f, auto &r) { return f.read(r.verify); }},
+        {"max_steps",
+         [](auto &f, auto &r) { return f.readCount(kMaxSteps, r.maxSteps); }},
+        {"subset", [](auto &f, auto &r) { return f.read(r.subsetOverride); }},
+    });
+
+    Fields<flow::SynthRequest> synth = sourceFields<flow::SynthRequest>({
+        {"name", [](auto &f, auto &r) { return f.readNonEmpty(r.name); }},
+        {"tech", [](auto &f, auto &r) { return f.read(r.tech); }},
+        {"baselines", [](auto &f, auto &r) { return f.read(r.baselines); }},
+        {"physical", [](auto &f, auto &r) { return f.read(r.physical); }},
+        {"subset", [](auto &f, auto &r) { return f.read(r.subsetOverride); }},
+    });
+
+    Fields<flow::RetargetRequest> retarget =
+        sourceFields<flow::RetargetRequest>({
+            {"max_steps",
+             [](auto &f, auto &r) {
+                 return f.readCount(kMaxSteps, r.maxSteps);
+             }},
+            {"verify_equivalence",
+             [](auto &f, auto &r) { return f.read(r.verifyEquivalence); }},
+            {"target", [](auto &f, auto &r) { return f.read(r.target); }},
+        });
+
+    Fields<flow::ExploreRequest> explore = {
+        {"plan", [](auto &f, auto &r) { return f.read(r.planText); }, true},
+        {"threads",
+         [](auto &f, auto &r) {
+             return f.readCount(4096, r.options.threads);
+         }},
+    };
+};
+
+const Schema &
+schema()
+{
+    static const Schema tables;
+    return tables;
+}
+
+/** Call @p visit with @p verb's field table. */
+template <typename Visit>
+auto
+withFields(Verb verb, Visit &&visit)
+{
+    const Schema &tables = schema();
+    switch (verb) {
+      case Verb::Characterize: return visit(tables.characterize);
+      case Verb::Run: return visit(tables.run);
+      case Verb::Synth: return visit(tables.synth);
+      case Verb::Retarget: return visit(tables.retarget);
+      case Verb::Explore: break;
+    }
+    return visit(tables.explore);
+}
+
+template <typename Req>
+bool
+names(const Fields<Req> &fields, std::string_view name)
+{
+    for (const Field<Req> &field : fields)
+        if (name == field.name)
+            return true;
+    return false;
+}
+
+/** Map @p body through @p fields: reject a member no row names,
+ *  apply the present fields in row order, then require exactly one
+ *  of the oneOf rows. The first fault in that order is reported. */
+template <typename Req>
+Result<flow::Request>
+parseFields(const Fields<Req> &fields, const JsonValue &body)
 {
     for (const JsonValue::Member &member : body.members())
-        if (!hasField(verb, member.first))
+        if (!names(fields, member.first))
             return Status::errorf(ErrorCode::InvalidArgument,
                                   "unknown field '%s'",
                                   member.first.c_str());
-    return Status::ok();
-}
-
-Status
-wrongKind(const char *field, const JsonValue &value,
-          const char *wanted)
-{
-    return Status::errorf(ErrorCode::InvalidArgument,
-                          "field '%s' must be a %s, not a %s", field,
-                          wanted, JsonValue::kindName(value.kind()));
-}
-
-Result<std::string>
-stringField(const JsonValue &body, const char *name)
-{
-    const JsonValue *value = body.find(name);
-    if (!value)
-        return std::string();
-    if (!value->isString())
-        return wrongKind(name, *value, "string");
-    return value->asString();
-}
-
-Result<bool>
-boolField(const JsonValue &body, const char *name, bool fallback)
-{
-    const JsonValue *value = body.find(name);
-    if (!value)
-        return fallback;
-    if (!value->isBool())
-        return wrongKind(name, *value, "bool");
-    return value->asBool();
-}
-
-Result<uint64_t>
-countField(const JsonValue &body, const char *name,
-           uint64_t fallback, uint64_t max)
-{
-    const JsonValue *value = body.find(name);
-    if (!value)
-        return fallback;
-    if (!value->isNumber())
-        return wrongKind(name, *value, "number");
-    const double number = value->asNumber();
-    if (number < 0 || number > static_cast<double>(max) ||
-        number != std::floor(number))
+    Req request;
+    const char *given = nullptr; // the first oneOf field present
+    const char *also = nullptr;  // a second one
+    for (const Field<Req> &field : fields) {
+        const JsonValue *value = body.find(field.name);
+        if (!value)
+            continue;
+        const Status applied = field.apply({field.name, *value}, request);
+        if (!applied)
+            return applied;
+        if (field.oneOf && given)
+            also = field.name;
+        else if (field.oneOf)
+            given = field.name;
+    }
+    if (also)
         return Status::errorf(ErrorCode::InvalidArgument,
-                              "field '%s' must be an integer in "
-                              "[0, %llu]",
-                              name,
-                              static_cast<unsigned long long>(max));
-    return static_cast<uint64_t>(number);
-}
-
-/** "workload" XOR "source" (+ "label") → SourceRef. */
-Result<flow::SourceRef>
-sourceFromJson(const JsonValue &body)
-{
-    const JsonValue *workload = body.find("workload");
-    const JsonValue *source = body.find("source");
-    if (workload && source)
+                              "give either '%s' or '%s', not both",
+                              given, also);
+    if (!given) {
+        std::string choices;
+        for (const Field<Req> &field : fields)
+            if (field.oneOf)
+                choices += (choices.empty() ? "'" : " or '") +
+                           std::string(field.name) + "'";
         return Status::error(ErrorCode::InvalidArgument,
-                             "give either 'workload' or 'source', "
-                             "not both");
-    if (workload) {
-        if (!workload->isString())
-            return wrongKind("workload", *workload, "string");
-        return flow::SourceRef::bundled(workload->asString());
+                             "missing " + choices);
     }
-    if (!source)
-        return Status::error(ErrorCode::InvalidArgument,
-                             "missing 'workload' or 'source'");
-    if (!source->isString())
-        return wrongKind("source", *source, "string");
-    Result<std::string> label = stringField(body, "label");
-    if (!label)
-        return label.status();
-    return flow::SourceRef::inlineText(
-        source->asString(),
-        label.value().empty() ? "<inline>" : label.take());
-}
-
-Result<minic::OptLevel>
-optFromJson(const JsonValue &body)
-{
-    Result<std::string> word = stringField(body, "opt");
-    if (!word)
-        return word.status();
-    const std::string &opt = word.value();
-    if (opt.empty() || opt == "O2") return minic::OptLevel::O2;
-    if (opt == "O0") return minic::OptLevel::O0;
-    if (opt == "O1") return minic::OptLevel::O1;
-    if (opt == "O3") return minic::OptLevel::O3;
-    if (opt == "Oz") return minic::OptLevel::Oz;
-    return Status::errorf(ErrorCode::InvalidArgument,
-                          "field 'opt' must be one of O0, O1, O2, "
-                          "O3, Oz, not '%s'",
-                          opt.c_str());
-}
-
-/** A mnemonic array field → subset; nullopt when absent. */
-Result<std::optional<InstrSubset>>
-subsetField(const JsonValue &body, const char *name)
-{
-    const JsonValue *value = body.find(name);
-    if (!value)
-        return std::optional<InstrSubset>();
-    if (!value->isArray())
-        return wrongKind(name, *value, "array");
-    std::vector<std::string> names;
-    for (const JsonValue &item : value->items()) {
-        if (!item.isString())
-            return Status::errorf(ErrorCode::InvalidArgument,
-                                  "field '%s' must hold mnemonic "
-                                  "strings",
-                                  name);
-        names.push_back(item.asString());
-    }
-    Result<InstrSubset> subset = InstrSubset::tryFromNames(names);
-    if (!subset)
-        return subset.status();
-    return std::optional<InstrSubset>(subset.take());
-}
-
-Result<flow::Request>
-characterizeFromJson(const JsonValue &body)
-{
-    Result<flow::SourceRef> source = sourceFromJson(body);
-    if (!source)
-        return source.status();
-    Result<minic::OptLevel> opt = optFromJson(body);
-    if (!opt)
-        return opt.status();
-    flow::CharacterizeRequest request;
-    request.source = source.take();
-    request.opt = opt.value();
-    return flow::Request(std::move(request));
-}
-
-Result<flow::Request>
-runFromJson(const JsonValue &body)
-{
-    Result<flow::SourceRef> source = sourceFromJson(body);
-    if (!source)
-        return source.status();
-    Result<minic::OptLevel> opt = optFromJson(body);
-    if (!opt)
-        return opt.status();
-    flow::RunRequest request;
-    Result<bool> verify = boolField(body, "verify", request.verify);
-    if (!verify)
-        return verify.status();
-    Result<uint64_t> maxSteps = countField(
-        body, "max_steps", request.maxSteps, uint64_t{1} << 53);
-    if (!maxSteps)
-        return maxSteps.status();
-    Result<std::optional<InstrSubset>> subset =
-        subsetField(body, "subset");
-    if (!subset)
-        return subset.status();
-    request.source = source.take();
-    request.opt = opt.value();
-    request.verify = verify.value();
-    request.maxSteps = maxSteps.value();
-    request.subsetOverride = subset.take();
-    return flow::Request(std::move(request));
-}
-
-Result<flow::Request>
-synthFromJson(const JsonValue &body)
-{
-    Result<flow::SourceRef> source = sourceFromJson(body);
-    if (!source)
-        return source.status();
-    Result<minic::OptLevel> opt = optFromJson(body);
-    if (!opt)
-        return opt.status();
-    flow::SynthRequest request;
-    Result<std::string> name = stringField(body, "name");
-    if (!name)
-        return name.status();
-    Result<std::string> tech = stringField(body, "tech");
-    if (!tech)
-        return tech.status();
-    Result<bool> baselines =
-        boolField(body, "baselines", request.baselines);
-    if (!baselines)
-        return baselines.status();
-    Result<bool> physical =
-        boolField(body, "physical", request.physical);
-    if (!physical)
-        return physical.status();
-    Result<std::optional<InstrSubset>> subset =
-        subsetField(body, "subset");
-    if (!subset)
-        return subset.status();
-    request.source = source.take();
-    request.opt = opt.value();
-    if (!name.value().empty())
-        request.name = name.take();
-    if (!tech.value().empty()) {
-        Result<explore::TechSpec> spec =
-            explore::TechSpec::fromSpec(tech.value());
-        if (!spec)
-            return spec.status();
-        request.tech = spec.take();
-    }
-    request.baselines = baselines.value();
-    request.physical = physical.value();
-    request.subsetOverride = subset.take();
-    return flow::Request(std::move(request));
-}
-
-Result<flow::Request>
-retargetFromJson(const JsonValue &body)
-{
-    Result<flow::SourceRef> source = sourceFromJson(body);
-    if (!source)
-        return source.status();
-    Result<minic::OptLevel> opt = optFromJson(body);
-    if (!opt)
-        return opt.status();
-    flow::RetargetRequest request;
-    Result<uint64_t> maxSteps = countField(
-        body, "max_steps", request.maxSteps, uint64_t{1} << 53);
-    if (!maxSteps)
-        return maxSteps.status();
-    Result<bool> verify = boolField(body, "verify_equivalence",
-                                    request.verifyEquivalence);
-    if (!verify)
-        return verify.status();
-    Result<std::optional<InstrSubset>> target =
-        subsetField(body, "target");
-    if (!target)
-        return target.status();
-    request.source = source.take();
-    request.opt = opt.value();
-    request.maxSteps = maxSteps.value();
-    request.verifyEquivalence = verify.value();
-    request.target = target.take();
-    return flow::Request(std::move(request));
-}
-
-Result<flow::Request>
-exploreFromJson(const JsonValue &body)
-{
-    const JsonValue *plan = body.find("plan");
-    if (!plan)
-        return Status::error(ErrorCode::InvalidArgument,
-                             "missing 'plan'");
-    if (!plan->isString())
-        return wrongKind("plan", *plan, "string");
-    Result<uint64_t> threads =
-        countField(body, "threads", 0, 4096);
-    if (!threads)
-        return threads.status();
-    flow::ExploreRequest request;
-    request.planText = plan->asString();
-    request.options.threads =
-        static_cast<unsigned>(threads.value());
     return flow::Request(std::move(request));
 }
 
@@ -315,20 +314,8 @@ verbFromName(const std::string &name)
 bool
 hasField(Verb verb, std::string_view field)
 {
-    static const std::vector<std::string_view> fields[kVerbCount] = {
-        {"workload", "source", "label", "opt"},
-        {"workload", "source", "label", "opt", "verify", "max_steps",
-         "subset"},
-        {"workload", "source", "label", "opt", "name", "tech",
-         "baselines", "physical", "subset"},
-        {"workload", "source", "label", "opt", "target", "max_steps",
-         "verify_equivalence"},
-        {"plan", "threads"},
-    };
-    const std::vector<std::string_view> &names =
-        fields[static_cast<size_t>(verb)];
-    return std::find(names.begin(), names.end(), field) !=
-           names.end();
+    return withFields(
+        verb, [field](const auto &fields) { return names(fields, field); });
 }
 
 Result<flow::Request>
@@ -339,17 +326,9 @@ requestFromJson(Verb verb, const JsonValue &body)
                               "request body must be a JSON object, "
                               "not a %s",
                               JsonValue::kindName(body.kind()));
-    Status fields = checkFields(body, verb);
-    if (!fields.isOk())
-        return fields;
-    switch (verb) {
-      case Verb::Characterize: return characterizeFromJson(body);
-      case Verb::Run: return runFromJson(body);
-      case Verb::Synth: return synthFromJson(body);
-      case Verb::Retarget: return retargetFromJson(body);
-      case Verb::Explore: return exploreFromJson(body);
-    }
-    return Status::error(ErrorCode::Internal, "impossible verb");
+    return withFields(verb, [&body](const auto &fields) {
+        return parseFields(fields, body);
+    });
 }
 
 Result<flow::Request>

@@ -6,39 +6,20 @@
  * Every front end spells a request as the same small JSON object:
  * the serve daemon reads it from the HTTP body, and `risspgen` lowers
  * its command-line words — one-shot verbs and batch-file lines alike
- * — onto it before calling `requestFromJson`. The response body is
+ * — onto it before calling `requestFromJson`, as `rissp-explore` does
+ * its plan and --threads. The response body is
  * `flow::toJson(...)` *verbatim*, so `risspgen <verb> --json` prints
  * byte for byte what the daemon serves for the same request. The
  * socket loop in net/server.cc owns nothing schema-shaped.
  *
- * Per-verb fields (all optional unless noted), with the `risspgen`
- * words that lower onto them:
- *
- *   field                verbs        risspgen words
- *   "workload": name     all but      `@name`
- *                        explore
- *   "source": MiniC      all but      a file path (read at the CLI
- *   + "label": string    explore      edge; the label is the path)
- *   "opt": "O0".."O3"/   all but      `-O0` .. `-O3`, `-Oz`
- *          "Oz"          explore
- *   "verify": bool       run          `--verify`
- *   "max_steps": number  run,         —
- *                        retarget
- *   "subset": [mnemonics] run, synth  — (run/synth on this subset)
- *   "name": string       synth        —
- *   "tech": spec string  synth        `--tech <spec>`
- *   "baselines": bool    synth        —
- *   "physical": bool     synth        —
- *   "target": [mnemonics] retarget    —
- *   "verify_equivalence" retarget     —
- *     : bool
- *   "plan": plan text    explore      a plan file path (required)
- *   "threads": number    explore      —
- *
- * Exactly one of "workload" and "source" is required outside
- * explore. Unknown fields are rejected with InvalidArgument naming
- * the field: a client typo ("verfy") must never silently change
- * behavior.
+ * The schema is the per-verb field tables in net/rest.cc, one row per
+ * body field: its name and how its value is checked and applied.
+ * The codec rejects a member no row names (a client typo like
+ * "verfy" must never silently change behavior), applies the present
+ * fields in row order — the first fault in that order is the one
+ * reported — and then requires exactly one of "workload" and
+ * "source" (explore: "plan"). docs/SERVE.md lists the fields with
+ * the `risspgen` words that lower onto them.
  */
 
 #ifndef RISSP_NET_REST_HH
@@ -72,7 +53,7 @@ const char *verbName(Verb verb);
 /** Parse a wire name; InvalidArgument on anything else. */
 Result<Verb> verbFromName(const std::string &name);
 
-/** Whether @p field is in @p verb's body schema (the table above). */
+/** Whether @p field is in @p verb's body schema (its field table). */
 bool hasField(Verb verb, std::string_view field);
 
 /** Build the typed request for @p verb from a parsed JSON body —

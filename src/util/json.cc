@@ -85,7 +85,7 @@ JsonValue::members() const
 }
 
 const JsonValue *
-JsonValue::find(const std::string &key) const
+JsonValue::find(std::string_view key) const
 {
     if (valueKind != Kind::Object)
         return nullptr;

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -78,7 +79,7 @@ class JsonValue
 
     /** Object member by key; nullptr when absent (or not an
      *  object). */
-    const JsonValue *find(const std::string &key) const;
+    const JsonValue *find(std::string_view key) const;
 
     /** Human name of a kind, for diagnostics ("string", ...). */
     static const char *kindName(Kind kind);

@@ -1,8 +1,8 @@
 /**
  * @file
- * Black-box tests for the `risspgen` command line: the real binary,
- * spawned through the shell, with stdout and the exit code compared
- * against pins.
+ * Black-box tests for the `risspgen` and `rissp-explore` command
+ * lines: the real binaries, spawned through the shell, with stdout
+ * and the exit code compared against pins.
  *
  * The `--json` pins are the same oracle the serve suite uses: for
  * every verb, what the CLI prints must equal
@@ -13,7 +13,9 @@
  * byte. Around that: the command-line grammar rejects what it does
  * not understand (unknown, repeated or inapplicable flags, stray
  * positionals) with exit code 2 instead of silently running
- * something other than what was typed.
+ * something other than what was typed. `rissp-explore` keeps the
+ * same exit codes, and its CSV is pinned identical across thread
+ * counts.
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +35,9 @@
 
 #ifndef RISSP_RISSPGEN
 #error "test_cli needs RISSP_RISSPGEN, the path of the risspgen binary"
+#endif
+#ifndef RISSP_RISSP_EXPLORE
+#error "test_cli needs RISSP_RISSP_EXPLORE, the path of rissp-explore"
 #endif
 
 namespace rissp
@@ -89,14 +94,14 @@ struct CliRun
     std::string err;
 };
 
-/** Run `risspgen <args>` (a shell word list) and capture it. */
+/** Run `<binary> <args>` (a shell word list) and capture it. */
 CliRun
-risspgen(const std::string &args)
+spawn(const char *binary, const std::string &args)
 {
     TempDir tmp;
     const std::string errPath = (fs::path(tmp.dir) / "stderr").string();
-    const std::string command = std::string(RISSP_RISSPGEN) + " " +
-                                args + " 2>" + errPath;
+    const std::string command =
+        std::string(binary) + " " + args + " 2>" + errPath;
     CliRun run;
     FILE *pipe = ::popen(command.c_str(), "r");
     if (!pipe) {
@@ -110,6 +115,18 @@ risspgen(const std::string &args)
     run.exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
     run.err = slurp(errPath);
     return run;
+}
+
+CliRun
+risspgen(const std::string &args)
+{
+    return spawn(RISSP_RISSPGEN, args);
+}
+
+CliRun
+risspExplore(const std::string &args)
+{
+    return spawn(RISSP_RISSP_EXPLORE, args);
 }
 
 /** The response body the daemon serves for @p body on @p verb —
@@ -414,6 +431,62 @@ TEST(CliBatch, EveryMalformedLineIsReportedAndNothingRuns)
                              "batch line 4"})
         EXPECT_NE(run.err.find(line), std::string::npos) << run.err;
     EXPECT_EQ(run.err.find("batch line 1"), std::string::npos);
+}
+
+// ------------------------------------------------- rissp-explore
+
+// Each of these died through fatal() with exit code 1, or ran a
+// sweep other than the one typed, before usage errors exited 2.
+TEST(ExploreCli, UsageErrorsExitTwoNamingTheWord)
+{
+    const struct
+    {
+        const char *args;
+        const char *word;
+    } cases[] = {
+        {"--demo --threads x", "'x'"},
+        {"--demo --threads 5000", "'5000'"},
+        {"--demo --csv", "--csv"},
+        {"--demo --bogus", "'--bogus'"},
+        {"a.plan b.plan", "'b.plan'"},
+        {"--demo b.plan", "'b.plan'"},
+    };
+    for (const auto &c : cases) {
+        const CliRun run = risspExplore(c.args);
+        EXPECT_EQ(run.exitCode, 2) << c.args;
+        EXPECT_TRUE(run.out.empty()) << c.args << ": " << run.out;
+        EXPECT_EQ(run.err.rfind("rissp-explore: error: ", 0), 0u)
+            << c.args << ": " << run.err;
+        EXPECT_NE(run.err.find(c.word), std::string::npos)
+            << c.args << ": " << run.err;
+    }
+}
+
+TEST(ExploreCli, UnreadablePlanExitsOne)
+{
+    TempDir tmp;
+    const CliRun run = risspExplore(tmp.dir + "/missing.plan");
+    EXPECT_EQ(run.exitCode, 1);
+    EXPECT_TRUE(run.out.empty());
+    EXPECT_NE(run.err.find("missing.plan"), std::string::npos)
+        << run.err;
+}
+
+TEST(ExploreCli, DemoCsvIsIdenticalAcrossThreadCounts)
+{
+    TempDir tmp;
+    const std::string serial = tmp.dir + "/serial.csv";
+    const std::string parallel = tmp.dir + "/parallel.csv";
+    EXPECT_EQ(risspExplore("--demo --threads 1 --quiet --csv " + serial)
+                  .exitCode,
+              0);
+    EXPECT_EQ(
+        risspExplore("--demo --threads 4 --quiet --csv " + parallel)
+            .exitCode,
+        0);
+    const std::string csv = slurp(serial);
+    EXPECT_NE(csv.find("RISSP-armpit"), std::string::npos) << csv;
+    EXPECT_EQ(slurp(parallel), csv);
 }
 
 } // namespace

@@ -340,7 +340,7 @@ TEST(FlowRetarget, SecondSourceReusesEveryMacroVerdict)
 
     request.source = saltedWorkload("crc32", 2);
     ASSERT_TRUE(service.retarget(request).status.isOk());
-    EXPECT_EQ(service.stats().compileMisses, 2u);
+    EXPECT_EQ(service.caches()->compile.misses(), 2u);
     EXPECT_EQ(verdicts.misses(), misses);
     EXPECT_EQ(verdicts.hits(), misses);
 }
@@ -498,9 +498,9 @@ TEST(FlowExplore, RepeatedRequestsGetByteIdenticalResponses)
     ASSERT_TRUE(first.status.isOk());
     const ExploreResponse second = service.explore(request);
     EXPECT_EQ(toJson(first), toJson(second));
-    // The service-cumulative view still moves — it lives on
-    // stats(), not on the response.
-    EXPECT_GT(service.stats().simHits, 0u);
+    // The service-cumulative view still moves — it lives on the
+    // shared caches, not on the response.
+    EXPECT_GT(service.caches()->sim.hits(), 0u);
 }
 
 // ------------------------------------- shared caches & reentrancy
@@ -512,13 +512,13 @@ TEST(FlowService, VerbsShareTheCompileCache)
     request.source = SourceRef::bundled("crc32");
 
     service.characterize(request);
-    const uint64_t misses_after_first = service.stats().compileMisses;
+    const uint64_t misses_after_first = service.caches()->compile.misses();
     EXPECT_EQ(misses_after_first, 1u);
 
     // Same source again: a hit, not a recompile.
     service.characterize(request);
-    EXPECT_EQ(service.stats().compileMisses, misses_after_first);
-    EXPECT_GE(service.stats().compileHits, 1u);
+    EXPECT_EQ(service.caches()->compile.misses(), misses_after_first);
+    EXPECT_GE(service.caches()->compile.hits(), 1u);
 
     // An explore touching the same workload at the same opt level
     // reuses the verb's compilation.
@@ -526,7 +526,7 @@ TEST(FlowService, VerbsShareTheCompileCache)
     explore.planText = "workload crc32\nsubset fit = @crc32\n";
     const ExploreResponse swept = service.explore(explore);
     ASSERT_TRUE(swept.status.isOk());
-    EXPECT_EQ(service.stats().compileMisses, misses_after_first);
+    EXPECT_EQ(service.caches()->compile.misses(), misses_after_first);
 }
 
 TEST(FlowService, FailedCompilesAreCachedToo)
@@ -538,8 +538,8 @@ TEST(FlowService, FailedCompilesAreCachedToo)
               ErrorCode::CompileError);
     EXPECT_EQ(service.characterize(request).status.code(),
               ErrorCode::CompileError);
-    EXPECT_EQ(service.stats().compileMisses, 1u);
-    EXPECT_EQ(service.stats().compileHits, 1u);
+    EXPECT_EQ(service.caches()->compile.misses(), 1u);
+    EXPECT_EQ(service.caches()->compile.hits(), 1u);
 }
 
 TEST(FlowService, ConcurrentMixedRequestsAreSafe)
@@ -570,7 +570,7 @@ TEST(FlowService, ConcurrentMixedRequestsAreSafe)
         w.join();
     EXPECT_EQ(failures.load(), 0);
     // Exactly two distinct sources were ever compiled.
-    EXPECT_EQ(service.stats().compileMisses, 2u);
+    EXPECT_EQ(service.caches()->compile.misses(), 2u);
 }
 
 // ------------------------------------------------- async & batch
@@ -651,7 +651,7 @@ TEST(FlowAsync, TenIdenticalSynthRequestsSweepOnce)
     }
     EXPECT_EQ(service.caches()->synthReport.misses(), 2u);
     EXPECT_EQ(service.caches()->synthReport.hits(), 18u);
-    EXPECT_EQ(service.stats().compileMisses, 1u);
+    EXPECT_EQ(service.caches()->compile.misses(), 1u);
 }
 
 TEST(FlowAsync, FutureCarriesErrorsAsValues)

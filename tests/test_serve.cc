@@ -171,10 +171,10 @@ TEST(ServeIdentity, Retarget)
 
 TEST(ServeIdentity, Explore)
 {
-    // toJson(ExploreResponse) embeds service-cumulative cache stats,
-    // so identity holds only when both sides answer from a fresh
-    // service: this harness serves exactly one request, the oracle
-    // inside expectByteIdentical is fresh by construction.
+    // toJson(ExploreResponse) embeds the stats of the engine that
+    // swept this one request, not service-cumulative counters, so
+    // the served bytes match the fresh oracle inside
+    // expectByteIdentical however warm the daemon's caches are.
     Harness harness;
     const char *plan = "workload crc32\n"
                        "subset fit = @crc32\n"

@@ -829,7 +829,7 @@ TEST(FlowServiceStore, WarmBootServesByteIdenticalTables)
     request.options.threads = 2;
 
     flow::ServiceOptions cold;
-    cold.cacheDir = tmp.path("store");
+    cold.artifacts = openStore(tmp.path("store"));
     std::string coldJson;
     {
         const flow::FlowService service(cold);
@@ -843,7 +843,9 @@ TEST(FlowServiceStore, WarmBootServesByteIdenticalTables)
 
     // Warm boot: a new service over the same directory must produce
     // the byte-identical response without recomputing.
-    const flow::FlowService warmService(cold);
+    flow::ServiceOptions warmBoot;
+    warmBoot.artifacts = openStore(tmp.path("store"));
+    const flow::FlowService warmService(warmBoot);
     const flow::ExploreResponse warm = warmService.explore(request);
     ASSERT_TRUE(warm.status.isOk());
     EXPECT_EQ(toJson(warm), coldJson);
@@ -860,11 +862,15 @@ TEST(FlowServiceStore, CorruptionHealsThroughTheFullStack)
     flow::ExploreRequest request;
     request.planText = "workload crc32\nsubset fit = @crc32\n";
 
-    flow::ServiceOptions options;
-    options.cacheDir = dir;
+    // Each boot opens the directory afresh, as a new process would.
+    auto boot = [&dir] {
+        flow::ServiceOptions options;
+        options.artifacts = openStore(dir);
+        return options;
+    };
     std::string coldJson;
     {
-        const flow::FlowService service(options);
+        const flow::FlowService service(boot());
         const flow::ExploreResponse response =
             service.explore(request);
         ASSERT_TRUE(response.status.isOk());
@@ -893,7 +899,7 @@ TEST(FlowServiceStore, CorruptionHealsThroughTheFullStack)
 
     // The next boot recomputes through the corruption and emits the
     // byte-identical response; the bad records are quarantined.
-    const flow::FlowService service(options);
+    const flow::FlowService service(boot());
     const flow::ExploreResponse response = service.explore(request);
     ASSERT_TRUE(response.status.isOk());
     EXPECT_EQ(toJson(response), coldJson);
@@ -903,40 +909,11 @@ TEST(FlowServiceStore, CorruptionHealsThroughTheFullStack)
     EXPECT_GT(stats.writes, 0u); // healed records republished
 
     // And the boot after that is clean and warm again.
-    const flow::FlowService healedService(options);
+    const flow::FlowService healedService(boot());
     const flow::ExploreResponse healed =
         healedService.explore(request);
     EXPECT_EQ(toJson(healed), coldJson);
     EXPECT_EQ(healedService.caches()->artifacts->stats().writes, 0u);
-}
-
-TEST(FlowServiceStore, ExplicitStoreWinsOverCacheDir)
-{
-    TempDir tmp;
-    auto nullStore = std::make_shared<store::NullStore>();
-    flow::ServiceOptions options;
-    options.cacheDir = tmp.path("ignored");
-    options.artifacts = nullStore;
-    const flow::FlowService service(options);
-    EXPECT_EQ(service.caches()->artifacts.get(), nullStore.get());
-    EXPECT_FALSE(fs::exists(tmp.path("ignored")));
-}
-
-TEST(FlowServiceStore, UnusableCacheDirDegradesToMemoryOnly)
-{
-    TempDir tmp;
-    // A file where the store directory should be: open fails, the
-    // service must warn and keep working without persistence.
-    const std::string clash = tmp.path("clash");
-    writeAll(clash, {1});
-    flow::ServiceOptions options;
-    options.cacheDir = clash;
-    const flow::FlowService service(options);
-    EXPECT_EQ(service.caches()->artifacts, nullptr);
-
-    flow::CharacterizeRequest request;
-    request.source = flow::SourceRef::bundled("crc32");
-    EXPECT_TRUE(service.characterize(request).status.isOk());
 }
 
 } // namespace

@@ -21,19 +21,24 @@
  * a built-in 3-subset x 3-workload cartesian plan (9 points). Results
  * are deterministic: any --threads value emits identical tables.
  *
- * A thin adapter over `flow::FlowService`: plan parsing, validation
- * and the sweep itself happen behind the service; a malformed plan
- * exits with every offending line listed, not an abort.
+ * A thin adapter over `flow::FlowService`: the plan and --threads go
+ * through the request codec (net/rest.hh) as an explore body, and
+ * --no-verify / --physical, which have no body field, are set on the
+ * typed request it returns. A malformed plan exits 1 with every
+ * offending line listed; a command line that does not spell a sweep
+ * exits 2 naming the offending word.
  */
 
 #include <cstdio>
-#include <cstring>
-#include <exception>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "flow/flow.hh"
+#include "net/rest.hh"
 #include "store/disk_store.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace
@@ -125,6 +130,15 @@ usage()
         "  --cache-dir D persist stage artifacts across runs\n");
 }
 
+/** Report a command line that does not spell a sweep. */
+int
+usageError(const std::string &message)
+{
+    std::fprintf(stderr, "rissp-explore: error: %s\n",
+                 message.c_str());
+    return 2;
+}
+
 } // namespace
 
 int
@@ -135,58 +149,71 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::string planText;
-    ExplorerOptions options;
+    std::string plan; ///< a plan file path, or "--demo"
+    std::string threads; ///< the --threads word, if given
     std::string csvPath;
     std::string jsonPath;
     std::string cacheDir;
+    bool verify = true;
+    bool physical = false;
     bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
+        std::string *value = arg == "--threads" ? &threads
+            : arg == "--csv" ? &csvPath
+            : arg == "--json" ? &jsonPath
+            : arg == "--cache-dir" ? &cacheDir
+            : nullptr;
+        if (value) {
             if (i + 1 >= argc)
-                fatal("%s needs a value", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--demo")
-            planText = kDemoPlan;
-        else if (arg == "--threads") {
-            const std::string word = value();
-            size_t used = 0;
-            unsigned long n = 0;
-            try {
-                n = std::stoul(word, &used);
-            } catch (const std::exception &) {
-                used = 0;
-            }
-            if (used != word.size() || word[0] == '-' || n > 4096)
-                fatal("bad --threads value '%s'", word.c_str());
-            options.threads = static_cast<unsigned>(n);
-        } else if (arg == "--cache-dir")
-            cacheDir = value();
-        else if (arg == "--csv")
-            csvPath = value();
-        else if (arg == "--json")
-            jsonPath = value();
-        else if (arg == "--no-verify")
-            options.verify = false;
-        else if (arg == "--physical")
-            options.physical = true;
-        else if (arg == "--quiet")
+                return usageError(arg + " needs a value");
+            *value = argv[++i];
+            if (value == &threads &&
+                (threads.empty() ||
+                 threads.find_first_not_of("0123456789") !=
+                     std::string::npos))
+                return usageError("bad --threads value '" + threads +
+                                  "'");
+        } else if (arg == "--demo" || arg.empty() || arg[0] != '-') {
+            if (!plan.empty())
+                return usageError("'" + arg + "' after '" + plan +
+                                  "': give one plan file or --demo");
+            plan = arg;
+        } else if (arg == "--no-verify") {
+            verify = false;
+        } else if (arg == "--physical") {
+            physical = true;
+        } else if (arg == "--quiet") {
             quiet = true;
-        else if (arg == "--help" || arg == "-h") {
+        } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            usage();
-            return 2;
         } else {
-            planText = loadFile(arg);
+            return usageError("unknown flag '" + arg + "'");
         }
     }
-    if (planText.empty())
-        fatal("no plan given (file argument or --demo)");
+    if (plan.empty())
+        return usageError("no plan given (file argument or --demo)");
+
+    // The codec owns the schema and the range of --threads.
+    std::vector<JsonValue::Member> body;
+    body.emplace_back("plan", JsonValue::makeString(
+                                  plan == "--demo" ? kDemoPlan
+                                                   : loadFile(plan)));
+    if (!threads.empty())
+        body.emplace_back("threads",
+                          JsonValue::makeNumber(
+                              std::strtod(threads.c_str(), nullptr)));
+    Result<flow::Request> parsed = net::requestFromJson(
+        net::Verb::Explore, JsonValue::makeObject(std::move(body)));
+    if (!parsed)
+        return usageError("bad --threads value '" + threads + "': " +
+                          parsed.status().message());
+    flow::ExploreRequest request =
+        std::get<flow::ExploreRequest>(parsed.take());
+    request.options.verify = verify;
+    request.options.physical = physical;
 
     flow::ServiceOptions serviceOptions;
     if (!cacheDir.empty()) {
@@ -200,9 +227,6 @@ main(int argc, char **argv)
         serviceOptions.artifacts = opened.take();
     }
     flow::FlowService service(serviceOptions);
-    flow::ExploreRequest request;
-    request.planText = planText;
-    request.options = options;
     const flow::ExploreResponse response = service.explore(request);
     if (!response.status.isOk()) {
         std::fprintf(stderr, "rissp-explore: error: %s\n",
