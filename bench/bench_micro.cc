@@ -1,11 +1,12 @@
 /**
  * @file
  * Sim-throughput microbenchmarks for the toolchain itself: decoder,
- * reference ISS, RISSP cycle simulator, lock-step cosimulation,
- * assembler, MiniC compiler, retarget macro verification and a whole
- * retarget, the synthesis model (whole runs and frequency-sweep
- * points/s) and the P&R model. These are repo-health numbers
- * (simulation throughput), not paper figures.
+ * reference ISS (its run() cores and the golden step() loop), RISSP
+ * cycle simulator (untraced and in traced cosim blocks), lock-step
+ * cosimulation, assembler, MiniC compiler, retarget macro
+ * verification and a whole retarget, the synthesis model (whole
+ * runs and frequency-sweep points/s) and the P&R model. These are
+ * repo-health numbers (simulation throughput), not paper figures.
  *
  * Self-contained timing harness (no google-benchmark dependency) so
  * every CI configuration can run it. Besides the human-readable
@@ -185,6 +186,16 @@ main(int argc, char **argv)
             sim.reset(cr.program);
             return sim.run(opts).instret;
         });
+        // The golden single-step loop cosim drives the reference
+        // with: the floor under the cosim row.
+        bench("refsim_step", "instret", [&] {
+            sim.reset(cr.program);
+            for (;;) {
+                const RetireEvent ev = sim.step();
+                if (ev.halt || ev.trap)
+                    return sim.instret();
+            }
+        });
     }
 
     // RISSP cycle-simulator throughput: default (subset-specialized
@@ -208,6 +219,20 @@ main(int argc, char **argv)
         bench("rissp_run_specialized", "instret", [&] {
             chip.reset(cr.program);
             return chip.run(opts).instret;
+        });
+        // Traced runs of one cosim block each into one reused
+        // buffer: the DUT side of the cosim row.
+        std::vector<RetireEvent> block(kCosimBlock);
+        RisspRunOptions traced;
+        bench("rissp_run_traced", "instret", [&] {
+            chip.reset(cr.program);
+            RunResult run;
+            do {
+                TraceSink sink{block.data(), block.data() + block.size()};
+                traced.trace = &sink;
+                run = chip.run(traced);
+            } while (run.reason == StopReason::StepLimit);
+            return run.instret;
         });
     }
 

@@ -129,7 +129,12 @@ linkProgram(const std::string &app_asm,
     for (const std::string &h : helpers)
         modules.push_back(runtimeModule(h));
     modules.push_back(app_asm);
-    return assembleModules(modules);
+    // The app text comes from user source, so a link failure (no
+    // main, say) is a compile error, never a trusted-input panic.
+    AsmResult linked = tryAssembleModules(modules);
+    if (!linked)
+        throw CompileError(0, "program does not link: " + linked.error);
+    return std::move(linked.program);
 }
 
 CompileResult

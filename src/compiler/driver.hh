@@ -72,7 +72,9 @@ std::string compileToAsm(const std::string &source, OptLevel level,
                          std::set<std::string> *helpers_out = nullptr);
 
 /** Assemble an application's assembly together with crt0 and the
- *  named helpers (the "link" step, shared with the retargeter). */
+ *  named helpers (the "link" step, shared with the retargeter).
+ *  Throws CompileError ("line 0: program does not link: ...") when
+ *  the modules do not assemble, e.g. a source without main(). */
 Program linkProgram(const std::string &app_asm,
                     const std::set<std::string> &helpers,
                     const std::string &macro_file = "");

@@ -51,12 +51,13 @@ Rissp::step(const Mutation *mut)
 RetireEvent
 Rissp::stepFast()
 {
-    // The specialized switch core with a one-instruction budget: the
-    // single-step API (cosim's lock-step loop) inherits the fast
-    // path without paying the threaded core's per-entry table build.
-    stepScratch.clear();
-    runCoreSwitch<true>(1, &stepScratch);
-    return stepScratch.front();
+    // The specialized switch core with a one-instruction budget and
+    // a one-record sink: the single-step API inherits the fast path
+    // without paying the threaded core's per-entry table build.
+    RetireEvent ev;
+    TraceSink sink{&ev, &ev + 1};
+    runCoreSwitch<true>(1, &sink);
+    return ev;
 }
 
 RetireEvent
@@ -213,12 +214,17 @@ Rissp::run(const RisspRunOptions &options)
 {
     if (options.fault || options.gateLevel) {
         // Gate-level engine: every instruction through the stitched
-        // structural chains, faults and all.
+        // structural chains, faults and all, feeding the same sink
+        // (and bounded by it) as the specialized cores.
+        TraceSink *const sink = options.trace;
+        const uint64_t budget = sink && sink->room() < options.maxSteps
+            ? sink->room()
+            : options.maxSteps;
         RunResult result;
-        for (uint64_t i = 0; i < options.maxSteps; ++i) {
-            RetireEvent ev = stepGate(options.fault);
-            if (options.trace)
-                options.trace->push_back(ev);
+        for (uint64_t i = 0; i < budget; ++i) {
+            const RetireEvent ev = stepGate(options.fault);
+            if (sink)
+                *sink->cursor++ = ev;
             if (ev.halt) {
                 result.reason = StopReason::Halted;
                 result.exitCode = regs[reg::a0];

@@ -36,8 +36,11 @@ struct RisspRunOptions
      *  performance knob; all modes are bit-identical). */
     DispatchMode dispatch = DispatchMode::Auto;
 
-    /** When set, every RetireEvent is appended here. */
-    std::vector<RetireEvent> *trace = nullptr;
+    /** When set, every RetireEvent is written into this caller-owned
+     *  sink, in place, and the run retires at most trace->room()
+     *  instructions (see TraceSink): the gate-level engine and the
+     *  specialized cores feed it alike. */
+    TraceSink *trace = nullptr;
 
     /** Injected netlist fault. Any non-null Mutation — including
      *  Kind::None — routes every instruction through the gate-level
@@ -115,11 +118,9 @@ class Rissp
     // from sim/exec_core.inc — same statement of the semantics as
     // RefSim's, specialized here to the generated subset.
     template <bool kTrace>
-    RunResult runCoreSwitch(uint64_t maxSteps,
-                            std::vector<RetireEvent> *traceOut);
+    RunResult runCoreSwitch(uint64_t maxSteps, TraceSink *traceOut);
     template <bool kTrace>
-    RunResult runCoreThreaded(uint64_t maxSteps,
-                              std::vector<RetireEvent> *traceOut);
+    RunResult runCoreThreaded(uint64_t maxSteps, TraceSink *traceOut);
 
     // exec_core.inc hooks: only stitched blocks execute, every
     // retire charges ModularEx's counters, and off-span execution
@@ -144,7 +145,6 @@ class Rissp
     uint64_t retired = 0;
     std::vector<uint32_t> outWords;
     std::string outText;
-    std::vector<RetireEvent> stepScratch; ///< stepFast() staging
 };
 
 } // namespace rissp

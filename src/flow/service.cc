@@ -192,9 +192,11 @@ runCosimStage(const Caches &, Job<RunRequest> &job)
     if (!job.response.status.isOk() || !job.request.verify)
         return;
     // cosimulate() re-executes DUT and reference lock-step from
-    // reset; a verified run therefore executes the program twice,
-    // like the Figure 4 flow it mirrors. Deriving the exec stage
-    // from the cosim pass would halve that.
+    // reset (the DUT in traced blocks, the reference one step()
+    // at a time); a verified run therefore executes the program
+    // twice, like the Figure 4 flow it mirrors. The exec stage is
+    // not derived from the cosim pass: it fails a run that never
+    // halts at its step limit, untraced, before any lock-step.
     CosimOptions options;
     options.maxSteps = job.request.maxSteps;
     options.fault = job.request.injectFault

@@ -36,12 +36,25 @@ struct Present
 
     /** A string whose empty value keeps @p out's default. */
     Status
-    readNonEmpty(std::string &out) const
+    readOrDefault(std::string &out) const
     {
         if (!value.isString())
             return wrongKind("string");
         if (!value.asString().empty())
             out = value.asString();
+        return Status::ok();
+    }
+
+    /** A string that may not be empty. */
+    Status
+    readNonEmpty(std::string &out) const
+    {
+        if (!value.isString())
+            return wrongKind("string");
+        if (value.asString().empty())
+            return Status::errorf(ErrorCode::InvalidArgument,
+                                  "field '%s' must not be empty", name);
+        out = value.asString();
         return Status::ok();
     }
 
@@ -118,7 +131,7 @@ struct Present
     read(explore::TechSpec &out) const
     {
         std::string spec;
-        const Status status = readNonEmpty(spec);
+        const Status status = readOrDefault(spec);
         if (!status || spec.empty())
             return status;
         Result<explore::TechSpec> parsed =
@@ -153,11 +166,12 @@ sourceFields(std::initializer_list<Field<Req>> rows)
 {
     Fields<Req> fields = {
         {"workload",
-         [](auto &f, auto &r) { return f.read(r.source.workload); }, true},
+         [](auto &f, auto &r) { return f.readNonEmpty(r.source.workload); },
+         true},
         {"source", [](auto &f, auto &r) { return f.read(r.source.text); },
          true},
         {"label",
-         [](auto &f, auto &r) { return f.readNonEmpty(r.source.label); }},
+         [](auto &f, auto &r) { return f.readOrDefault(r.source.label); }},
         {"opt", [](auto &f, auto &r) { return f.read(r.opt); }},
     };
     fields.insert(fields.end(), rows);
@@ -179,7 +193,7 @@ struct Schema
     });
 
     Fields<flow::SynthRequest> synth = sourceFields<flow::SynthRequest>({
-        {"name", [](auto &f, auto &r) { return f.readNonEmpty(r.name); }},
+        {"name", [](auto &f, auto &r) { return f.readOrDefault(r.name); }},
         {"tech", [](auto &f, auto &r) { return f.read(r.tech); }},
         {"baselines", [](auto &f, auto &r) { return f.read(r.baselines); }},
         {"physical", [](auto &f, auto &r) { return f.read(r.physical); }},

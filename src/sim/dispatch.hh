@@ -72,13 +72,13 @@ DispatchMode resolveDispatchMode(DispatchMode requested);
 namespace sim_detail
 {
 
-/** Per-instruction retirement-record storage for the interpreter
- *  cores: a real RetireEvent in traced instantiations, empty (and
- *  thus free) in untraced ones. */
+/** The interpreter cores' retirement-record cursor: the record being
+ *  written, in place in the run's TraceSink, in traced
+ *  instantiations; empty (and thus free) in untraced ones. */
 template <bool kTrace>
 struct TraceSlot
 {
-    RetireEvent ev;
+    RetireEvent *ev;
 };
 
 template <>

@@ -75,9 +75,11 @@ struct SimRunOptions
      *  bit-identical, so this is purely a performance knob. */
     DispatchMode dispatch = DispatchMode::Auto;
 
-    /** When set, every RetireEvent is appended here (the same RVFI
-     *  stream the single-step API produces). */
-    std::vector<RetireEvent> *trace = nullptr;
+    /** When set, every RetireEvent (the same RVFI stream the
+     *  single-step API produces) is written into this caller-owned
+     *  sink, and the run retires at most trace->room() instructions
+     *  (see TraceSink). */
+    TraceSink *trace = nullptr;
 };
 
 /** Functional RV32E golden-model simulator. */
@@ -131,11 +133,9 @@ class RefSim
     // from sim/exec_core.inc (one statement of the semantics, two
     // dispatch mechanisms).
     template <bool kTrace>
-    RunResult runCoreSwitch(uint64_t maxSteps,
-                            std::vector<RetireEvent> *traceOut);
+    RunResult runCoreSwitch(uint64_t maxSteps, TraceSink *traceOut);
     template <bool kTrace>
-    RunResult runCoreThreaded(uint64_t maxSteps,
-                              std::vector<RetireEvent> *traceOut);
+    RunResult runCoreThreaded(uint64_t maxSteps, TraceSink *traceOut);
 
     // exec_core.inc hooks: the reference executes every valid op,
     // counts nothing, and falls back to step() off-span.

@@ -46,6 +46,26 @@ struct RetireEvent
     bool halt = false;       ///< ecall/ebreak halt
 };
 
+/**
+ * Caller-owned storage a traced run writes its retirement records
+ * into: each RetireEvent is written once, in place at @c cursor,
+ * which then advances. A run given a sink retires at most room()
+ * instructions — a full sink stops it with StopReason::StepLimit,
+ * resumable like any step limit — so the storage is never overrun
+ * and one buffer can be reused from run to run.
+ */
+struct TraceSink
+{
+    RetireEvent *cursor = nullptr; ///< where the next record goes
+    RetireEvent *end = nullptr;    ///< one past the last free slot
+
+    uint64_t
+    room() const
+    {
+        return static_cast<uint64_t>(end - cursor);
+    }
+};
+
 } // namespace rissp
 
 #endif // RISSP_SIM_TRACE_HH

@@ -1,6 +1,7 @@
 #include "verify/integration_verify.hh"
 
 #include <atomic>
+#include <new>
 
 #include "assembler/assembler.hh"
 #include "util/logging.hh"
@@ -10,41 +11,41 @@ namespace rissp
 {
 
 void
+RvfiStreamChecker::flag(size_t at, uint32_t pc, const char *what)
+{
+    rpt.violations.push_back(
+        strFormat("event %zu (pc=0x%08x): %s", at, pc, what));
+}
+
+void
 RvfiStreamChecker::push(const RetireEvent &ev)
 {
     // Chaining checks between the previous event and this one are
     // flagged on the previous event's index, matching the batch
     // checker's report text exactly.
     if (hasPrev) {
-        auto flag_prev = [&](const char *what) {
-            rpt.violations.push_back(strFormat(
-                "event %zu (pc=0x%08x): %s", index - 1, prev.pc,
-                what));
-        };
-        if (prev.halt || prev.trap)
-            flag_prev("retirement after halt/trap");
-        else if (ev.pc != prev.nextPc)
-            flag_prev("pc chain broken");
+        if (prevStopped)
+            flag(index - 1, prevPc, "retirement after halt/trap");
+        else if (ev.pc != prevNextPc)
+            flag(index - 1, prevPc, "pc chain broken");
     }
 
     ++rpt.eventsChecked;
-    auto flag = [&](const char *what) {
-        rpt.violations.push_back(strFormat(
-            "event %zu (pc=0x%08x): %s", index, ev.pc, what));
-    };
     if (ev.order != index)
-        flag("retirement order not monotone");
+        flag(index, ev.pc, "retirement order not monotone");
     if (ev.rd == 0 && ev.rdData != 0)
-        flag("x0 written with a non-zero value");
+        flag(index, ev.pc, "x0 written with a non-zero value");
     if (ev.memRead && ev.memWrite)
-        flag("simultaneous load and store");
+        flag(index, ev.pc, "simultaneous load and store");
     if ((ev.memRead || ev.memWrite) &&
         ev.memBytes != 1 && ev.memBytes != 2 && ev.memBytes != 4)
-        flag("illegal memory access width");
+        flag(index, ev.pc, "illegal memory access width");
     if (!ev.trap && !ev.halt && (ev.nextPc & 3))
-        flag("misaligned next pc");
+        flag(index, ev.pc, "misaligned next pc");
 
-    prev = ev;
+    prevPc = ev.pc;
+    prevNextPc = ev.nextPc;
+    prevStopped = ev.halt || ev.trap;
     hasPrev = true;
     ++index;
 }
@@ -91,27 +92,32 @@ class EventRing
   public:
     explicit EventRing(unsigned capacity) : ring(capacity) {}
 
-    void push(const RetireEvent &ev)
+    /** Push @p count events in order; only the last capacity of
+     *  them can survive, so only those are copied. */
+    void append(const RetireEvent *events, size_t count)
     {
         if (ring.empty())
             return;
-        ring[count++ % ring.size()] = ev;
+        const size_t skip = count > ring.size() ? count - ring.size() : 0;
+        for (size_t i = skip; i < count; ++i)
+            ring[(total + i) % ring.size()] = events[i];
+        total += count;
     }
 
     /** Contents, oldest first. */
     std::vector<RetireEvent> unrolled() const
     {
-        const size_t n = count < ring.size() ? count : ring.size();
+        const size_t n = total < ring.size() ? total : ring.size();
         std::vector<RetireEvent> out;
         out.reserve(n);
         for (size_t i = 0; i < n; ++i)
-            out.push_back(ring[(count - n + i) % ring.size()]);
+            out.push_back(ring[(total - n + i) % ring.size()]);
         return out;
     }
 
   private:
     std::vector<RetireEvent> ring;
-    size_t count = 0;
+    size_t total = 0; ///< events appended so far
 };
 
 } // namespace
@@ -126,42 +132,82 @@ cosimulate(const Program &program, const InstrSubset &subset,
     Rissp dut(subset, "cosim-dut");
     dut.reset(program);
 
-    // Streaming: RVFI invariants are checked per step and only the
-    // context rings retain events, so memory does not scale with the
-    // step budget.
+    // Block-stepped lock-step: one Rissp::run() retires up to a block
+    // of DUT events into dutBlock, in place; the reference then steps
+    // alongside, one RefSim::step() per event, and every pair gets the
+    // checks a one-instruction-at-a-time loop would apply, in the same
+    // order. The DUT running ahead within a block changes nothing it
+    // reports: its events do not depend on the reference, and it
+    // stops by itself at a halt or trap, where a matching reference
+    // stops too. RVFI invariants stream through the monitor, and the
+    // context rings take each block's tail (up to the stopping event
+    // in the last block).
+    //
+    // The two blocks live in one buffer per thread, reused call after
+    // call: allocating them per call (112 KiB) made glibc trim the
+    // heap top on every return, so each call page-faulted the two
+    // machines' memories back in: a third of a 19 K-step cosim.
+    static thread_local std::vector<RetireEvent> blocks(2 * kCosimBlock);
+    RetireEvent *const dutBlock = blocks.data();
+    RetireEvent *const refBlock = dutBlock + kCosimBlock;
     RvfiStreamChecker monitor;
     EventRing refRing(options.contextEvents);
     EventRing dutRing(options.contextEvents);
+    auto keep = [&](size_t count) {
+        refRing.append(refBlock, count);
+        dutRing.append(dutBlock, count);
+    };
     auto divergence_context = [&]() {
         rpt.recentRef = refRing.unrolled();
         rpt.recentDut = dutRing.unrolled();
     };
-    for (uint64_t i = 0; i < options.maxSteps; ++i) {
-        RetireEvent re = ref.step();
-        RetireEvent de = dut.step(options.fault);
-        monitor.push(de);
-        refRing.push(re);
-        dutRing.push(de);
-        if (!eventsMatch(re, de)) {
-            rpt.firstDivergence = strFormat(
-                "step %llu:\n  ref: %s\n  dut: %s",
-                static_cast<unsigned long long>(i),
-                describeEvent(re).c_str(),
-                describeEvent(de).c_str());
-            rpt.monitor = monitor.report();
-            divergence_context();
-            return rpt;
+    RisspRunOptions run;
+    run.fault = options.fault;
+    bool halted = false;
+    for (uint64_t i = 0; !halted && i < options.maxSteps;) {
+        const uint64_t left = options.maxSteps - i;
+        TraceSink sink{dutBlock,
+                       dutBlock + (left < kCosimBlock ? left : kCosimBlock)};
+        run.maxSteps = sink.room();
+        run.trace = &sink;
+        dut.run(run);
+        const size_t retired = static_cast<size_t>(sink.cursor - dutBlock);
+        if (retired == 0)
+            panic("cosimulate: the DUT retired nothing at step %llu",
+                  static_cast<unsigned long long>(i));
+        size_t k = 0;
+        for (; k < retired; ++k, ++i) {
+            // step()'s record is built in its slot, not copied there.
+            const RetireEvent &re =
+                *new (&refBlock[k]) RetireEvent(ref.step());
+            const RetireEvent &de = dutBlock[k];
+            monitor.push(de);
+            if (!eventsMatch(re, de)) {
+                rpt.firstDivergence = strFormat(
+                    "step %llu:\n  ref: %s\n  dut: %s",
+                    static_cast<unsigned long long>(i),
+                    describeEvent(re).c_str(),
+                    describeEvent(de).c_str());
+                rpt.monitor = monitor.report();
+                keep(k + 1);
+                divergence_context();
+                return rpt;
+            }
+            if (re.halt || re.trap) {
+                rpt.instret = i + 1;
+                halted = true;
+                ++k;
+                break;
+            }
+            if (i + 1 == options.maxSteps) {
+                rpt.firstDivergence = "step limit reached";
+                rpt.monitor = monitor.report();
+                keep(k + 1);
+                divergence_context();
+                return rpt;
+            }
         }
-        if (re.halt || re.trap) {
-            rpt.instret = i + 1;
-            break;
-        }
-        if (i + 1 == options.maxSteps) {
-            rpt.firstDivergence = "step limit reached";
-            rpt.monitor = monitor.report();
-            divergence_context();
-            return rpt;
-        }
+        keep(k);
     }
 
     // Final architectural state must agree.

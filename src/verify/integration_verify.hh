@@ -32,9 +32,10 @@ struct MonitorReport
 /**
  * Incremental RVFI monitor: push() one retirement event at a time and
  * the same per-event and chaining invariants as checkRvfiStream() are
- * applied as the stream flows, holding only the previous event —
- * O(violations) memory instead of O(instret). For any event sequence,
- * pushing all events then calling report() yields a MonitorReport
+ * applied as the stream flows, holding only what the chaining checks
+ * need of the previous event — O(violations) memory instead of
+ * O(instret). For any event sequence, pushing all events then
+ * calling report() yields a MonitorReport
  * identical to checkRvfiStream() on the equivalent vector (covered by
  * test_verify).
  */
@@ -48,8 +49,14 @@ class RvfiStreamChecker
     const MonitorReport &report() const { return rpt; }
 
   private:
+    /** Record a violation of event @p at (at @p pc). */
+    void flag(size_t at, uint32_t pc, const char *what);
+
     MonitorReport rpt;
-    RetireEvent prev;
+    // What the chaining checks need of the previous event.
+    uint32_t prevPc = 0;
+    uint32_t prevNextPc = 0;
+    bool prevStopped = false; ///< it halted or trapped
     bool hasPrev = false;
     size_t index = 0;
 };
@@ -72,6 +79,11 @@ struct CosimReport
     std::vector<RetireEvent> recentDut;
 };
 
+/** DUT events per Rissp::run() call in cosimulate()'s block-stepped
+ *  lock-step: the size of its reusable event buffer. A measured
+ *  constant, not a knob; it changes no report, only speed. */
+constexpr uint64_t kCosimBlock = 1024;
+
 /** Knobs for cosimulate(). */
 struct CosimOptions
 {
@@ -89,9 +101,17 @@ struct CosimOptions
  * Run @p program on a RISSP built for @p subset and on the reference
  * ISS, comparing every retirement event, the final register file and
  * the final memory signature region (symbol "signature", when the
- * program defines it). RVFI invariants are checked incrementally per
- * step (RvfiStreamChecker) and only a small ring of recent events is
- * retained for context, so memory stays O(1) in instret.
+ * program defines it).
+ *
+ * Block-stepped: each Rissp::run() call writes up to kCosimBlock DUT
+ * events into one reused buffer, then the reference, driven by the
+ * independent RefSim::step(), steps alongside that block and each
+ * event pair is checked in order (eventsMatch, the RVFI monitor, the
+ * step limit), so the report is identical, context rings included,
+ * to stepping both machines one instruction at a time. RVFI
+ * invariants are checked incrementally (RvfiStreamChecker) and only
+ * a small ring of recent events is retained for context, so memory
+ * stays O(kCosimBlock) whatever the instret.
  */
 CosimReport cosimulate(const Program &program,
                        const InstrSubset &subset,

@@ -304,6 +304,28 @@ TEST(Cli, ServiceErrorsExitOne)
     EXPECT_NE(tech.err.find("error"), std::string::npos);
 }
 
+TEST(Cli, SourceWithoutMainExitsOneWithACompileError)
+{
+    // Exited 134 (abort in the link step) before.
+    TempDir tmp;
+    for (const char *text : {"int x;\n", ""}) {
+        const std::string path = tmp.write("nomain.c", text);
+        const CliRun run = risspgen("characterize " + path + " --json");
+        EXPECT_EQ(run.exitCode, 1) << text;
+        EXPECT_NE(run.out.find("\"code\": \"compile_error\""),
+                  std::string::npos)
+            << run.out;
+        const CliRun human = risspgen("run " + path);
+        EXPECT_EQ(human.exitCode, 1) << text;
+        EXPECT_NE(human.err.find("compile_error"), std::string::npos)
+            << human.err;
+    }
+    const CliRun empty = risspgen("run @ --json");
+    EXPECT_EQ(empty.exitCode, 1);
+    EXPECT_NE(empty.out.find("must not be empty"), std::string::npos)
+        << empty.out;
+}
+
 TEST(Cli, FlagTheVerbDoesNotTakeIsAUsageError)
 {
     const CliRun run =
@@ -435,31 +457,43 @@ TEST(CliBatch, EveryMalformedLineIsReportedAndNothingRuns)
 
 // ------------------------------------------------- rissp-explore
 
+/** @p args must exit 2, print nothing on stdout, and name @p word on
+ *  stderr. */
+void
+expectExploreUsageError(const char *args, const char *word)
+{
+    const CliRun run = risspExplore(args);
+    EXPECT_EQ(run.exitCode, 2) << args;
+    EXPECT_TRUE(run.out.empty()) << args << ": " << run.out;
+    EXPECT_EQ(run.err.rfind("rissp-explore: error: ", 0), 0u)
+        << args << ": " << run.err;
+    EXPECT_NE(run.err.find(word), std::string::npos)
+        << args << ": " << run.err;
+}
+
 // Each of these died through fatal() with exit code 1, or ran a
 // sweep other than the one typed, before usage errors exited 2.
 TEST(ExploreCli, UsageErrorsExitTwoNamingTheWord)
 {
-    const struct
-    {
-        const char *args;
-        const char *word;
-    } cases[] = {
-        {"--demo --threads x", "'x'"},
-        {"--demo --threads 5000", "'5000'"},
-        {"--demo --csv", "--csv"},
-        {"--demo --bogus", "'--bogus'"},
-        {"a.plan b.plan", "'b.plan'"},
-        {"--demo b.plan", "'b.plan'"},
-    };
-    for (const auto &c : cases) {
-        const CliRun run = risspExplore(c.args);
-        EXPECT_EQ(run.exitCode, 2) << c.args;
-        EXPECT_TRUE(run.out.empty()) << c.args << ": " << run.out;
-        EXPECT_EQ(run.err.rfind("rissp-explore: error: ", 0), 0u)
-            << c.args << ": " << run.err;
-        EXPECT_NE(run.err.find(c.word), std::string::npos)
-            << c.args << ": " << run.err;
-    }
+    expectExploreUsageError("--demo --threads x", "'x'");
+    expectExploreUsageError("--demo --threads 5000", "'5000'");
+    expectExploreUsageError("--demo --csv", "--csv");
+    expectExploreUsageError("--demo --bogus", "'--bogus'");
+    expectExploreUsageError("a.plan b.plan", "'b.plan'");
+    expectExploreUsageError("--demo b.plan", "'b.plan'");
+}
+
+// Each of these kept the last value and ran, exiting 0.
+TEST(ExploreCli, RepeatedFlagsAreUsageErrors)
+{
+    expectExploreUsageError("--demo --csv a.csv --csv b.csv", "'--csv'");
+    expectExploreUsageError("--demo --json a.json --json b.json",
+                            "'--json'");
+    expectExploreUsageError("--demo --threads 2 --threads 3",
+                            "'--threads'");
+    expectExploreUsageError("--demo --cache-dir a --cache-dir b",
+                            "'--cache-dir'");
+    expectExploreUsageError("--demo --quiet --quiet", "'--quiet'");
 }
 
 TEST(ExploreCli, UnreadablePlanExitsOne)

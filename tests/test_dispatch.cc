@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -178,8 +179,34 @@ refGolden(const Program &program, uint64_t max_steps)
     return snap;
 }
 
+/** Drive @p sim's run() in traced calls of at most @p block steps
+ *  each, one reused TraceSink buffer, appending every record to
+ *  @p trace, until it stops or @p options' budget is spent. A block
+ *  of at least the budget is the one-call run. */
+template <typename Sim, typename Options>
+RunResult
+tracedRun(Sim &sim, Options options, std::vector<RetireEvent> &trace,
+          uint64_t block)
+{
+    const uint64_t budget = options.maxSteps;
+    std::vector<RetireEvent> buffer(std::min(block, budget));
+    uint64_t used = 0;
+    RunResult result;
+    do {
+        const uint64_t steps = std::min(block, budget - used);
+        TraceSink sink{buffer.data(), buffer.data() + steps};
+        options.maxSteps = steps;
+        options.trace = &sink;
+        result = sim.run(options);
+        trace.insert(trace.end(), buffer.data(), sink.cursor);
+        used += steps;
+    } while (result.reason == StopReason::StepLimit && used < budget);
+    return result;
+}
+
 RunSnapshot
-refRun(const Program &program, uint64_t max_steps, DispatchMode mode)
+refRun(const Program &program, uint64_t max_steps, DispatchMode mode,
+       uint64_t block = kCosimBlock)
 {
     RefSim sim;
     sim.reset(program);
@@ -187,8 +214,7 @@ refRun(const Program &program, uint64_t max_steps, DispatchMode mode)
     SimRunOptions options;
     options.maxSteps = max_steps;
     options.dispatch = mode;
-    options.trace = &snap.trace;
-    snap.result = sim.run(options);
+    snap.result = tracedRun(sim, options, snap.trace, block);
     for (unsigned r = 0; r < kNumRegsE; ++r)
         snap.regs[r] = sim.reg(r);
     snap.pc = sim.pc();
@@ -200,15 +226,15 @@ refRun(const Program &program, uint64_t max_steps, DispatchMode mode)
 
 RunSnapshot
 risspRun(const Program &program, const InstrSubset &subset,
-         uint64_t max_steps, const RisspRunOptions &base)
+         uint64_t max_steps, const RisspRunOptions &base,
+         uint64_t block = kCosimBlock)
 {
     Rissp chip(subset, "dispatch-test");
     chip.reset(program);
     RunSnapshot snap;
     RisspRunOptions options = base;
     options.maxSteps = max_steps;
-    options.trace = &snap.trace;
-    snap.result = chip.run(options);
+    snap.result = tracedRun(chip, options, snap.trace, block);
     for (unsigned r = 0; r < kNumRegsE; ++r)
         snap.regs[r] = chip.reg(r);
     snap.pc = chip.pc();
@@ -519,6 +545,91 @@ TEST(DispatchDiff, StepLimitBoundarySweep)
     }
 }
 
+TEST(DispatchDiff, SplitTracedRunsConcatenateToTheOneCallTrace)
+{
+    // A traced run resumed call after call (what cosimulate() does
+    // with its block buffer) must retire exactly the one-call stream:
+    // budgets of 1, 7 and one cosim block, against a single call whose
+    // sink holds the whole budget, for both simulators, both dispatch
+    // modes and the gate-level engine. The programs halt, stop at
+    // the step limit mid-run, and trap, each past one block.
+    const Program loop = assemble(R"(
+        li a0, 0
+        li a1, 900
+        lui a3, 0xFFFF0
+        la a4, buf
+    loop:
+        addi a0, a0, 1
+        sw a0, 0(a4)
+        lw a5, 0(a4)
+        sb a5, 4(a3)
+        bne a0, a1, loop
+        sw a0, 0(a3)
+        ecall
+        .data
+    buf:
+        .space 8
+    )");
+    const Program trap = assemble(R"(
+        li a0, 0
+        li a1, 700
+    loop:
+        addi a0, a0, 1
+        addi a2, a0, 3
+        bne a0, a1, loop
+        .word 0
+    )");
+    const InstrSubset full = InstrSubset::fullRv32e();
+    struct Case
+    {
+        const Program *program;
+        uint64_t maxSteps;
+        StopReason stop;
+    };
+    for (const Case &c : {Case{&loop, 100'000, StopReason::Halted},
+                          Case{&loop, 3'001, StopReason::StepLimit},
+                          Case{&trap, 100'000, StopReason::Trapped}}) {
+        const RunSnapshot golden = refGolden(*c.program, c.maxSteps);
+        ASSERT_EQ(golden.result.reason, c.stop);
+        ASSERT_GT(golden.trace.size(), kCosimBlock);
+        RisspRunOptions gate;
+        gate.gateLevel = true;
+        const RunSnapshot dut_golden =
+            risspRun(*c.program, full, c.maxSteps, gate, c.maxSteps);
+        for (uint64_t block : {uint64_t{1}, uint64_t{7}, kCosimBlock}) {
+            for (DispatchMode mode :
+                 {DispatchMode::Switch, DispatchMode::Threaded}) {
+                EXPECT_TRUE(sameSnapshot(
+                    refRun(*c.program, c.maxSteps, mode, c.maxSteps),
+                    refRun(*c.program, c.maxSteps, mode, block)))
+                    << "refsim " << dispatchModeName(mode)
+                    << ", block " << block;
+                EXPECT_TRUE(sameSnapshot(
+                    golden, refRun(*c.program, c.maxSteps, mode, block)))
+                    << "refsim " << dispatchModeName(mode)
+                    << ", block " << block;
+                RisspRunOptions fast;
+                fast.dispatch = mode;
+                EXPECT_TRUE(sameSnapshot(
+                    risspRun(*c.program, full, c.maxSteps, fast,
+                             c.maxSteps),
+                    risspRun(*c.program, full, c.maxSteps, fast, block)))
+                    << "rissp " << dispatchModeName(mode) << ", block "
+                    << block;
+                EXPECT_TRUE(sameSnapshot(
+                    dut_golden,
+                    risspRun(*c.program, full, c.maxSteps, fast, block)))
+                    << "rissp " << dispatchModeName(mode) << ", block "
+                    << block;
+            }
+            EXPECT_TRUE(sameSnapshot(
+                dut_golden,
+                risspRun(*c.program, full, c.maxSteps, gate, block)))
+                << "rissp gate level, block " << block;
+        }
+    }
+}
+
 class DispatchFuzz : public ::testing::TestWithParam<int>
 {
 };
@@ -614,9 +725,10 @@ TEST(MutationContract, EveryKindRoutesThroughGateLevel)
 
 TEST(MutationContract, CosimVerdictsMatchUnderEveryDispatch)
 {
-    // cosimulate() single-steps the RISSP, so its fault path goes
-    // through step(&mut): the divergence verdict must be the same
-    // whichever dispatch mode the environment pre-selects.
+    // cosimulate() runs the RISSP in traced blocks, so its fault path
+    // goes through run() with a fault (the gate-level engine): the
+    // divergence verdict must be the same whichever dispatch mode the
+    // environment pre-selects.
     Program p = archTestProgram(Op::Add);
     const InstrSubset full = InstrSubset::fullRv32e();
     const Mutation fault{Mutation::Kind::CarryChainBreak, 3};

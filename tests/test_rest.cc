@@ -160,6 +160,11 @@ TEST(RestCodec, WorkloadField)
         EXPECT_EQ(rejection(verb, R"({"workload": 5})"),
                   invalid("field 'workload' must be a string, not a "
                           "number"));
+        // An empty name is no workload, never the empty inline text.
+        EXPECT_EQ(rejection(verb, R"({"workload": ""})"),
+                  invalid("field 'workload' must not be empty"));
+        EXPECT_EQ(rejection(verb, R"({"workload": "", "label": "x"})"),
+                  invalid("field 'workload' must not be empty"));
         // Names are resolved by the service, not the codec.
         expectMapsTo(verb, R"({"workload": "nope"})",
                      sourced(verb, flow::SourceRef::bundled("nope")));
@@ -200,6 +205,25 @@ TEST(RestCodec, SourceAndLabelFields)
             std::get<flow::CharacterizeRequest>(request).source;
         EXPECT_EQ(source.text, kProgram);
         EXPECT_EQ(source.label, "<inline>");
+    }
+}
+
+TEST(RestCodec, SourceWithoutMainIsACompileError)
+{
+    // The codec accepts such text; the service must answer it with a
+    // compile_error (it aborted the process in the link step).
+    for (Verb verb : kSourceVerbs) {
+        for (const char *body :
+             {R"({"source": ""})", R"({"source": "int x;"})"}) {
+            const std::string response =
+                flow::toJson(service().dispatch(accepted(verb, body)));
+            EXPECT_NE(response.find(
+                          R"("status": {"code": "compile_error", )"
+                          R"("message": "line 0: program does not )"
+                          R"(link: )"),
+                      std::string::npos)
+                << verbName(verb) << " " << body << ": " << response;
+        }
     }
 }
 

@@ -332,6 +332,32 @@ TEST(ServeErrors, WrongFieldTypeIs400)
     expectStillAlive(harness.port());
 }
 
+TEST(ServeErrors, SourceWithoutMainIsACompileErrorNotACrash)
+{
+    // Such text used to abort the daemon inside the link step.
+    Harness harness;
+    for (const char *verb : {"characterize", "run", "synth", "retarget"})
+        for (const char *body :
+             {R"({"source": ""})", R"({"source": "int x;"})"}) {
+            const auto response = httpRequest(
+                harness.port(), "POST",
+                std::string("/api/v1/") + verb, body);
+            ASSERT_TRUE(response.has_value()) << verb << " " << body;
+            EXPECT_EQ(response->status, 400) << verb << " " << body;
+            EXPECT_NE(response->body.find("compile_error"),
+                      std::string::npos)
+                << response->body;
+            expectStillAlive(harness.port());
+        }
+    const auto empty = httpRequest(harness.port(), "POST",
+                                   "/api/v1/run", R"({"workload": ""})");
+    ASSERT_TRUE(empty.has_value());
+    EXPECT_EQ(empty->status, 400);
+    EXPECT_NE(empty->body.find("must not be empty"), std::string::npos)
+        << empty->body;
+    expectStillAlive(harness.port());
+}
+
 TEST(ServeErrors, UnknownFieldIsNamedNotIgnored)
 {
     Harness harness;

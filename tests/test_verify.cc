@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "assembler/assembler.hh"
+#include "compiler/driver.hh"
 #include "verify/block_verify.hh"
 #include "verify/integration_verify.hh"
 #include "verify/spec.hh"
+#include "workloads/workloads.hh"
 
 namespace rissp
 {
@@ -554,6 +558,311 @@ TEST(Spec, MatchesIssOnRandomInstructions)
             EXPECT_EQ(sim.reg(v.in.insn.rd), fx0.rdValue)
                 << disassemble(v.in.insn.raw);
         (void)fx;
+    }
+}
+
+// ------------------------------------- block-stepped cosim oracle
+
+/** The RISSP-side comparator cosimulate() applies, copied verbatim. */
+bool
+oracleEventsMatch(const RetireEvent &a, const RetireEvent &b)
+{
+    return a.pc == b.pc && a.raw == b.raw && a.nextPc == b.nextPc &&
+        a.rd == b.rd && a.rdData == b.rdData &&
+        a.memRead == b.memRead && a.memWrite == b.memWrite &&
+        (!a.memRead && !a.memWrite
+         ? true
+         : a.memAddr == b.memAddr && a.memData == b.memData &&
+             a.memBytes == b.memBytes) &&
+        a.halt == b.halt && a.trap == b.trap;
+}
+
+std::string
+oracleDescribe(const RetireEvent &ev)
+{
+    return strFormat(
+        "pc=0x%08x %s rd=x%u rdData=0x%08x mem%s addr=0x%08x "
+        "data=0x%08x", ev.pc,
+        disassemble(ev.raw).c_str(), ev.rd, ev.rdData,
+        ev.memRead ? "R" : ev.memWrite ? "W" : "-", ev.memAddr,
+        ev.memData);
+}
+
+/**
+ * The oracle: cosimulate()'s lock-step loop as it was before it was
+ * block-stepped — both machines one instruction at a time
+ * (Rissp::step(), RefSim::step()), every event pushed through the
+ * monitor and both context rings. The block-stepped cosimulate()
+ * must report exactly what this does.
+ */
+CosimReport
+singleStepCosim(const Program &program, const InstrSubset &subset,
+                const CosimOptions &options)
+{
+    CosimReport rpt;
+    RefSim ref;
+    ref.reset(program);
+    Rissp dut(subset, "cosim-dut");
+    dut.reset(program);
+    RvfiStreamChecker monitor;
+    std::vector<RetireEvent> refRing(options.contextEvents);
+    std::vector<RetireEvent> dutRing(options.contextEvents);
+    size_t pushed = 0;
+    auto divergence_context = [&]() {
+        const size_t n = std::min(pushed, refRing.size());
+        for (size_t i = 0; i < n; ++i) {
+            const size_t at = (pushed - n + i) % refRing.size();
+            rpt.recentRef.push_back(refRing[at]);
+            rpt.recentDut.push_back(dutRing[at]);
+        }
+    };
+    for (uint64_t i = 0; i < options.maxSteps; ++i) {
+        RetireEvent re = ref.step();
+        RetireEvent de = dut.step(options.fault);
+        monitor.push(de);
+        if (!refRing.empty()) {
+            refRing[pushed % refRing.size()] = re;
+            dutRing[pushed % dutRing.size()] = de;
+        }
+        ++pushed;
+        if (!oracleEventsMatch(re, de)) {
+            rpt.firstDivergence = strFormat(
+                "step %llu:\n  ref: %s\n  dut: %s",
+                static_cast<unsigned long long>(i),
+                oracleDescribe(re).c_str(),
+                oracleDescribe(de).c_str());
+            rpt.monitor = monitor.report();
+            divergence_context();
+            return rpt;
+        }
+        if (re.halt || re.trap) {
+            rpt.instret = i + 1;
+            break;
+        }
+        if (i + 1 == options.maxSteps) {
+            rpt.firstDivergence = "step limit reached";
+            rpt.monitor = monitor.report();
+            divergence_context();
+            return rpt;
+        }
+    }
+    for (unsigned r = 0; r < kNumRegsE; ++r) {
+        if (ref.reg(r) != dut.reg(r)) {
+            rpt.firstDivergence = strFormat(
+                "final x%u: ref=0x%08x dut=0x%08x", r, ref.reg(r),
+                dut.reg(r));
+            divergence_context();
+            return rpt;
+        }
+    }
+    if (program.hasSymbol("signature")) {
+        const uint32_t base = program.symbol("signature");
+        for (uint32_t off = 0; off < 256; off += 4) {
+            const uint32_t rv = ref.memory().loadWord(base + off);
+            const uint32_t dv = dut.memory().loadWord(base + off);
+            if (rv != dv) {
+                rpt.firstDivergence = strFormat(
+                    "signature+%u: ref=0x%08x dut=0x%08x", off, rv,
+                    dv);
+                divergence_context();
+                return rpt;
+            }
+        }
+    }
+    rpt.monitor = monitor.report();
+    rpt.passed = rpt.monitor.passed();
+    if (!rpt.passed) {
+        rpt.firstDivergence = rpt.monitor.violations.front();
+        divergence_context();
+    }
+    return rpt;
+}
+
+bool
+sameEvents(const std::vector<RetireEvent> &a,
+           const std::vector<RetireEvent> &b)
+{
+    auto same = [](const RetireEvent &x, const RetireEvent &y) {
+        return x.order == y.order && x.pc == y.pc &&
+            x.nextPc == y.nextPc && x.raw == y.raw && x.op == y.op &&
+            x.rs1 == y.rs1 && x.rs2 == y.rs2 &&
+            x.rs1Data == y.rs1Data && x.rs2Data == y.rs2Data &&
+            x.rd == y.rd && x.rdData == y.rdData &&
+            x.memRead == y.memRead && x.memWrite == y.memWrite &&
+            x.memAddr == y.memAddr && x.memData == y.memData &&
+            x.memBytes == y.memBytes && x.trap == y.trap &&
+            x.halt == y.halt;
+    };
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(), same);
+}
+
+/** cosimulate() against the single-step oracle, whole report. */
+::testing::AssertionResult
+matchesSingleStep(const Program &program, const InstrSubset &subset,
+                  const CosimOptions &options)
+{
+    const CosimReport want = singleStepCosim(program, subset, options);
+    const CosimReport got = cosimulate(program, subset, options);
+    auto fail = [&](const char *field) {
+        return ::testing::AssertionFailure()
+               << "CosimReport::" << field << " differs (oracle: "
+               << (want.passed ? "pass" : want.firstDivergence) << ")";
+    };
+    if (got.passed != want.passed)
+        return fail("passed");
+    if (got.instret != want.instret)
+        return fail("instret");
+    if (got.firstDivergence != want.firstDivergence)
+        return fail("firstDivergence");
+    if (got.monitor.eventsChecked != want.monitor.eventsChecked)
+        return fail("monitor.eventsChecked");
+    if (got.monitor.violations != want.monitor.violations)
+        return fail("monitor.violations");
+    if (!sameEvents(got.recentRef, want.recentRef))
+        return fail("recentRef");
+    if (!sameEvents(got.recentDut, want.recentDut))
+        return fail("recentDut");
+    return ::testing::AssertionSuccess();
+}
+
+CosimOptions
+cosimOptions(uint64_t max_steps, unsigned context = 8,
+             const Mutation *fault = nullptr)
+{
+    CosimOptions options;
+    options.maxSteps = max_steps;
+    options.contextEvents = context;
+    options.fault = fault;
+    return options;
+}
+
+TEST(CosimBlocks, WorkloadsMatchSingleStepOnOwnAndFullSubset)
+{
+    for (const Workload &w : allWorkloads()) {
+        const Program program =
+            minic::compile(w.source, minic::OptLevel::O2).program;
+        const InstrSubset own = InstrSubset::fromProgram(program);
+        EXPECT_TRUE(matchesSingleStep(program, own,
+                                      cosimOptions(10'000'000)))
+            << w.name << " on its own subset";
+        EXPECT_TRUE(matchesSingleStep(program,
+                                      InstrSubset::fullRv32e(),
+                                      cosimOptions(10'000'000)))
+            << w.name << " on the full subset";
+    }
+}
+
+TEST(CosimBlocks, RandomProgramsMatchSingleStep)
+{
+    const InstrSubset full = InstrSubset::fullRv32e();
+    const InstrSubset alu = InstrSubset::fromNames(
+        {"addi", "xori", "ori", "andi", "slli", "srli", "srai", "slt",
+         "sltu", "slti", "sltiu", "lui", "blt", "bgeu", "sw"});
+    for (uint64_t seed = 0; seed < 8; ++seed) {
+        const Program p = randomProgram(0xB10CC0 + seed, 2500, full);
+        EXPECT_TRUE(matchesSingleStep(p, full, cosimOptions(100'000)))
+            << "seed " << seed;
+        // Out-of-subset ops trap the RISSP mid-run: a divergence.
+        EXPECT_TRUE(matchesSingleStep(p, alu, cosimOptions(100'000)))
+            << "seed " << seed << " on the ALU subset";
+    }
+}
+
+/** @p lead addi instructions, then one sub — the first instruction a
+ *  RISSP without sub cannot execute, so it diverges at step @p lead. */
+Program
+divergesAt(uint64_t lead)
+{
+    std::string text = "    .text\n_start:\n";
+    for (uint64_t i = 0; i < lead; ++i)
+        text += "    addi a0, a0, 1\n";
+    text += "    sub a1, a0, a1\n    ecall\n";
+    return assemble(text);
+}
+
+TEST(CosimBlocks, DivergencesAroundABlockEdgeMatchSingleStep)
+{
+    const InstrSubset no_sub = InstrSubset::fromNames({"addi", "ecall"});
+    for (uint64_t step : {kCosimBlock - 1, kCosimBlock, kCosimBlock + 1,
+                          2 * kCosimBlock + 5}) {
+        const Program p = divergesAt(step);
+        for (unsigned context :
+             {0u, 1u, 8u, static_cast<unsigned>(step + 40)}) {
+            const CosimOptions options = cosimOptions(100'000, context);
+            EXPECT_TRUE(matchesSingleStep(p, no_sub, options))
+                << "divergence at step " << step << ", context "
+                << context;
+            const CosimReport rpt = cosimulate(p, no_sub, options);
+            EXPECT_EQ(rpt.firstDivergence.rfind(
+                          strFormat("step %llu:",
+                                    static_cast<unsigned long long>(
+                                        step)),
+                          0),
+                      0u)
+                << rpt.firstDivergence;
+            EXPECT_EQ(rpt.recentDut.size(),
+                      std::min<uint64_t>(context, step + 1));
+        }
+    }
+}
+
+TEST(CosimBlocks, StepLimitsAroundABlockEdgeMatchSingleStep)
+{
+    // Never halts: every budget ends at the step limit, or passes
+    // at 0 (no step taken).
+    const Program spin = assemble(R"(
+        li a0, 0
+    loop:
+        addi a0, a0, 1
+        sw a0, 0(zero)
+        jal zero, loop
+    )");
+    const InstrSubset full = InstrSubset::fullRv32e();
+    for (uint64_t max_steps :
+         {uint64_t{0}, uint64_t{1}, kCosimBlock - 1, kCosimBlock,
+          kCosimBlock + 1, 3 * kCosimBlock + 2}) {
+        for (unsigned context : {0u, 1u, 8u, 5000u}) {
+            EXPECT_TRUE(matchesSingleStep(
+                spin, full, cosimOptions(max_steps, context)))
+                << "maxSteps " << max_steps << ", context " << context;
+        }
+    }
+    // A program that halts exactly at, before and after a block
+    // edge, with the budget equal to its length.
+    for (uint64_t lead : {kCosimBlock - 2, kCosimBlock - 1,
+                          kCosimBlock}) {
+        std::string text = "    .text\n_start:\n";
+        for (uint64_t i = 0; i < lead; ++i)
+            text += "    addi a0, a0, 1\n";
+        text += "    ecall\n";
+        const Program p = assemble(text);
+        for (uint64_t max_steps : {lead, lead + 1, lead + 2}) {
+            EXPECT_TRUE(matchesSingleStep(p, full,
+                                          cosimOptions(max_steps)))
+                << "halt after " << lead << ", maxSteps " << max_steps;
+        }
+    }
+}
+
+TEST(CosimBlocks, EveryFaultKindMatchesSingleStep)
+{
+    static const Mutation::Kind kKinds[] = {
+        Mutation::Kind::None,           Mutation::Kind::StuckSumBit,
+        Mutation::Kind::CarryChainBreak, Mutation::Kind::DropShiftStage,
+        Mutation::Kind::ShiftNoArith,   Mutation::Kind::InvertLt,
+        Mutation::Kind::EqIgnoreByte,   Mutation::Kind::WrongSignExt,
+        Mutation::Kind::StoreLaneStuck, Mutation::Kind::BranchPolarity,
+        Mutation::Kind::LinkDrop,       Mutation::Kind::ImmOffByOne,
+    };
+    const InstrSubset full = InstrSubset::fullRv32e();
+    for (Op op : full.ops()) {
+        const Program p = archTestProgram(op);
+        for (Mutation::Kind kind : kKinds) {
+            const Mutation fault{kind, 3};
+            EXPECT_TRUE(matchesSingleStep(
+                p, full, cosimOptions(100'000, 8, &fault)))
+                << opName(op) << " under " << fault.describe();
+        }
     }
 }
 

@@ -80,7 +80,8 @@ ctest --output-on-failure -j "$JOBS"
 ./bench_micro --quick --json BENCH_simspeed.json
 
 # Perf smoke on the dispatch rebuild: threaded dispatch should not be
-# slower than the portable switch core. A soft gate — sanitizer and
+# slower than the portable switch core, and block-stepped cosim should
+# stay close to its RefSim::step() floor. A soft gate — sanitizer and
 # debug configurations legitimately flip the ratio — so it warns
 # loudly instead of failing (docs/BENCHMARKS.md).
 if command -v python3 >/dev/null 2>&1; then
@@ -96,6 +97,17 @@ if sw and th:
         print("ci.sh: WARNING: threaded dispatch is SLOWER than the"
               " switch core on this runner/configuration -- perf"
               " regression in the threaded interpreter?")
+# Block-stepped cosim: the golden RefSim::step() loop is its floor,
+# so cosim should keep well above a third of that rate.
+step, cosim = rows.get("refsim_step"), rows.get("cosim")
+if step and cosim:
+    print("ci.sh: cosim/refsim_step ratio: %.2f"
+          " (refsim_step %.3e, cosim %.3e instret/s)"
+          % (cosim / step, step, cosim))
+    if cosim < 0.35 * step:
+        print("ci.sh: WARNING: cosim runs below 0.35x the golden"
+              " step() loop -- per-step overhead regression in the"
+              " lock-step (traced RISSP core or the checks)?")
 EOF
 else
     echo "ci.sh: python3 not found; skipping dispatch perf smoke" >&2

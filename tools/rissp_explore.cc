@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -157,9 +158,13 @@ main(int argc, char **argv)
     bool verify = true;
     bool physical = false;
     bool quiet = false;
+    std::set<std::string> given; ///< flags seen, to reject repeats
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        if (arg.size() > 1 && arg[0] == '-' && arg != "--demo" &&
+            !given.insert(arg).second)
+            return usageError("'" + arg + "' given twice");
         std::string *value = arg == "--threads" ? &threads
             : arg == "--csv" ? &csvPath
             : arg == "--json" ? &jsonPath
