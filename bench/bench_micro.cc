@@ -165,26 +165,13 @@ main(int argc, char **argv)
         minic::compile(kLoopSrc, minic::OptLevel::O2);
     InstrSubset subset = InstrSubset::fromProgram(cr.program);
 
-    // Reference ISS instruction throughput — the default-dispatch
-    // row tracks the historical trajectory; the per-mode rows pin
-    // the switch-vs-threaded ratio (CI's soft perf gate).
+    // Reference ISS instruction throughput through its interpreter
+    // core.
     {
         RefSim sim;
         bench("refsim_run", "instret", [&] {
             sim.reset(cr.program);
             return sim.run(10'000'000).instret;
-        });
-        SimRunOptions opts;
-        opts.maxSteps = 10'000'000;
-        opts.dispatch = DispatchMode::Switch;
-        bench("refsim_run_switch", "instret", [&] {
-            sim.reset(cr.program);
-            return sim.run(opts).instret;
-        });
-        opts.dispatch = DispatchMode::Threaded;
-        bench("refsim_run_threaded", "instret", [&] {
-            sim.reset(cr.program);
-            return sim.run(opts).instret;
         });
         // The golden single-step loop cosim drives the reference
         // with: the floor under the cosim row.
@@ -200,22 +187,23 @@ main(int argc, char **argv)
 
     // RISSP cycle-simulator throughput: default (subset-specialized
     // interpreter), the gate-level structural engine (what run()
-    // always was before specialization), and the specialized core
-    // under an explicitly resolved dispatch mode.
+    // always was before specialization; an inactive fault selects
+    // it), and the specialized core through the options entry point.
     {
         Rissp chip(subset, "bench");
         bench("rissp_run", "instret", [&] {
             chip.reset(cr.program);
             return chip.run(10'000'000).instret;
         });
+        const Mutation none{Mutation::Kind::None, 0};
         RisspRunOptions opts;
         opts.maxSteps = 10'000'000;
-        opts.gateLevel = true;
+        opts.fault = &none;
         bench("rissp_run_generic", "instret", [&] {
             chip.reset(cr.program);
             return chip.run(opts).instret;
         });
-        opts.gateLevel = false;
+        opts.fault = nullptr;
         bench("rissp_run_specialized", "instret", [&] {
             chip.reset(cr.program);
             return chip.run(opts).instret;

@@ -42,21 +42,13 @@ Rissp::step(const Mutation *mut)
 {
     // The mutation contract (pinned by tests/test_dispatch.cc): any
     // non-null Mutation, Kind::None included, drives the gate-level
-    // chains; only the plain no-fault step may take the fast core.
+    // chains; the plain no-fault step runs the specialized core with
+    // a one-record sink.
     if (mut)
         return stepGate(mut);
-    return stepFast();
-}
-
-RetireEvent
-Rissp::stepFast()
-{
-    // The specialized switch core with a one-instruction budget and
-    // a one-record sink: the single-step API inherits the fast path
-    // without paying the threaded core's per-entry table build.
     RetireEvent ev;
     TraceSink sink{&ev, &ev + 1};
-    runCoreSwitch<true>(1, &sink);
+    runCore<true>(1, &sink);
     return ev;
 }
 
@@ -183,22 +175,10 @@ Rissp::stepGate(const Mutation *mut)
     return ev;
 }
 
-// Stamp out the interpreter cores (see the header in exec_core.inc),
+// Stamp out the interpreter core (see the header in exec_core.inc),
 // specialized to this RISSP's subset through the hooks above.
 #define RISSP_CORE_CLASS Rissp
-#define RISSP_CORE_NAME runCoreSwitch
-#define RISSP_CORE_THREADED 0
 #include "sim/exec_core.inc"
-#undef RISSP_CORE_NAME
-#undef RISSP_CORE_THREADED
-
-#if RISSP_HAS_COMPUTED_GOTO
-#define RISSP_CORE_NAME runCoreThreaded
-#define RISSP_CORE_THREADED 1
-#include "sim/exec_core.inc"
-#undef RISSP_CORE_NAME
-#undef RISSP_CORE_THREADED
-#endif
 #undef RISSP_CORE_CLASS
 
 RunResult
@@ -212,10 +192,10 @@ Rissp::run(uint64_t maxSteps)
 RunResult
 Rissp::run(const RisspRunOptions &options)
 {
-    if (options.fault || options.gateLevel) {
+    if (options.fault) {
         // Gate-level engine: every instruction through the stitched
         // structural chains, faults and all, feeding the same sink
-        // (and bounded by it) as the specialized cores.
+        // (and bounded by it) as the specialized core.
         TraceSink *const sink = options.trace;
         const uint64_t budget = sink && sink->room() < options.maxSteps
             ? sink->room()
@@ -245,18 +225,9 @@ Rissp::run(const RisspRunOptions &options)
         return result;
     }
 
-    const DispatchMode mode = resolveDispatchMode(options.dispatch);
-#if RISSP_HAS_COMPUTED_GOTO
-    if (mode == DispatchMode::Threaded)
-        return options.trace
-            ? runCoreThreaded<true>(options.maxSteps, options.trace)
-            : runCoreThreaded<false>(options.maxSteps, nullptr);
-#else
-    (void)mode;
-#endif
     return options.trace
-        ? runCoreSwitch<true>(options.maxSteps, options.trace)
-        : runCoreSwitch<false>(options.maxSteps, nullptr);
+        ? runCore<true>(options.maxSteps, options.trace)
+        : runCore<false>(options.maxSteps, nullptr);
 }
 
 } // namespace rissp

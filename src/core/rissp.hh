@@ -32,25 +32,18 @@ struct RisspRunOptions
     /** Stop after this many instructions (StopReason::StepLimit). */
     uint64_t maxSteps = 100'000'000;
 
-    /** Interpreter core for the specialized engine (a pure
-     *  performance knob; all modes are bit-identical). */
-    DispatchMode dispatch = DispatchMode::Auto;
-
     /** When set, every RetireEvent is written into this caller-owned
      *  sink, in place, and the run retires at most trace->room()
      *  instructions (see TraceSink): the gate-level engine and the
-     *  specialized cores feed it alike. */
+     *  specialized core feed it alike. */
     TraceSink *trace = nullptr;
 
     /** Injected netlist fault. Any non-null Mutation — including
-     *  Kind::None — routes every instruction through the gate-level
-     *  structural engine, preserving the mutation-coverage surface
-     *  (the specialized cores never see faults). */
+     *  Kind::None, the fault-free gate-level run — routes every
+     *  instruction through the gate-level structural engine,
+     *  preserving the mutation-coverage surface (the specialized
+     *  core never sees faults). */
     const Mutation *fault = nullptr;
-
-    /** Force the gate-level engine even with no fault (what run()
-     *  always did before the specialized cores existed). */
-    bool gateLevel = false;
 };
 
 /** A generated instruction-subset processor plus its simulator. */
@@ -85,9 +78,9 @@ class Rissp
     /** Run until halt/trap or @p maxSteps cycles. */
     RunResult run(uint64_t maxSteps = 100'000'000);
 
-    /** Run with explicit dispatch/trace/fault options. A fault (or
-     *  gateLevel) selects the gate-level engine; otherwise the
-     *  subset-specialized interpreter core runs. */
+    /** Run with explicit budget/trace/fault options. A fault selects
+     *  the gate-level engine; otherwise the subset-specialized
+     *  interpreter core runs. */
     RunResult run(const RisspRunOptions &options);
 
     uint32_t pc() const { return pcReg; }
@@ -111,16 +104,11 @@ class Rissp
      *  coverage surface and the off-span fallback. */
     RetireEvent stepGate(const Mutation *mut);
 
-    /** One instruction through the specialized core (mut == null). */
-    RetireEvent stepFast();
-
-    // Interpreter cores over the pre-decoded text span, stamped out
-    // from sim/exec_core.inc — same statement of the semantics as
-    // RefSim's, specialized here to the generated subset.
+    // The interpreter core over the pre-decoded text span, stamped
+    // out from sim/exec_core.inc — same statement of the semantics
+    // as RefSim's, specialized here to the generated subset.
     template <bool kTrace>
-    RunResult runCoreSwitch(uint64_t maxSteps, TraceSink *traceOut);
-    template <bool kTrace>
-    RunResult runCoreThreaded(uint64_t maxSteps, TraceSink *traceOut);
+    RunResult runCore(uint64_t maxSteps, TraceSink *traceOut);
 
     // exec_core.inc hooks: only stitched blocks execute, every
     // retire charges ModularEx's counters, and off-span execution

@@ -228,22 +228,9 @@ RefSim::step()
     return ev;
 }
 
-// Stamp out the interpreter cores (see the header in exec_core.inc):
-// one statement of the semantics, two dispatch mechanisms.
+// Stamp out the interpreter core (see the header in exec_core.inc).
 #define RISSP_CORE_CLASS RefSim
-#define RISSP_CORE_NAME runCoreSwitch
-#define RISSP_CORE_THREADED 0
 #include "sim/exec_core.inc"
-#undef RISSP_CORE_NAME
-#undef RISSP_CORE_THREADED
-
-#if RISSP_HAS_COMPUTED_GOTO
-#define RISSP_CORE_NAME runCoreThreaded
-#define RISSP_CORE_THREADED 1
-#include "sim/exec_core.inc"
-#undef RISSP_CORE_NAME
-#undef RISSP_CORE_THREADED
-#endif
 #undef RISSP_CORE_CLASS
 
 RunResult
@@ -257,18 +244,9 @@ RefSim::run(uint64_t maxSteps)
 RunResult
 RefSim::run(const SimRunOptions &options)
 {
-    const DispatchMode mode = resolveDispatchMode(options.dispatch);
-#if RISSP_HAS_COMPUTED_GOTO
-    if (mode == DispatchMode::Threaded)
-        return options.trace
-            ? runCoreThreaded<true>(options.maxSteps, options.trace)
-            : runCoreThreaded<false>(options.maxSteps, nullptr);
-#else
-    (void)mode;
-#endif
     return options.trace
-        ? runCoreSwitch<true>(options.maxSteps, options.trace)
-        : runCoreSwitch<false>(options.maxSteps, nullptr);
+        ? runCore<true>(options.maxSteps, options.trace)
+        : runCore<false>(options.maxSteps, nullptr);
 }
 
 } // namespace rissp

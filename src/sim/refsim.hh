@@ -18,7 +18,6 @@
 
 #include "isa/reg.hh"
 #include "sim/decoded_program.hh"
-#include "sim/dispatch.hh"
 #include "sim/memory.hh"
 #include "sim/program.hh"
 #include "sim/trace.hh"
@@ -69,12 +68,6 @@ struct SimRunOptions
     /** Stop after this many instructions (StopReason::StepLimit). */
     uint64_t maxSteps = 100'000'000;
 
-    /** Which interpreter core to drive (sim/dispatch.hh); Auto
-     *  resolves via the RISSP_DISPATCH env var, then the build
-     *  default, then computed-goto detection. The cores are
-     *  bit-identical, so this is purely a performance knob. */
-    DispatchMode dispatch = DispatchMode::Auto;
-
     /** When set, every RetireEvent (the same RVFI stream the
      *  single-step API produces) is written into this caller-owned
      *  sink, and the run retires at most trace->room() instructions
@@ -101,9 +94,9 @@ class RefSim
     /** Run until halt/trap or @p maxSteps instructions. */
     RunResult run(uint64_t maxSteps = 100'000'000);
 
-    /** Run with explicit dispatch/trace options. All dispatch modes
-     *  retire the identical RVFI stream; step() remains the
-     *  independent golden statement of the semantics. */
+    /** Run with explicit budget/trace options. The interpreter core
+     *  retires the identical RVFI stream to step(), which remains
+     *  the independent golden statement of the semantics. */
     RunResult run(const SimRunOptions &options);
 
     uint32_t pc() const { return pcReg; }
@@ -129,13 +122,10 @@ class RefSim
     const std::string &outputText() const { return outText; }
 
   private:
-    // Interpreter cores over the pre-decoded text span, stamped out
-    // from sim/exec_core.inc (one statement of the semantics, two
-    // dispatch mechanisms).
+    // The interpreter core over the pre-decoded text span, stamped
+    // out from sim/exec_core.inc.
     template <bool kTrace>
-    RunResult runCoreSwitch(uint64_t maxSteps, TraceSink *traceOut);
-    template <bool kTrace>
-    RunResult runCoreThreaded(uint64_t maxSteps, TraceSink *traceOut);
+    RunResult runCore(uint64_t maxSteps, TraceSink *traceOut);
 
     // exec_core.inc hooks: the reference executes every valid op,
     // counts nothing, and falls back to step() off-span.

@@ -1,20 +1,18 @@
 /**
  * @file
- * Tests for the interpreter dispatch rebuild (sim/dispatch.hh,
- * sim/exec_core.inc): every dispatch variant of both simulators must
- * retire a byte-identical RVFI stream, the RISSP mutation contract
- * must hold under all of them, and mode selection itself is pinned.
+ * Tests for the threaded interpreter core (sim/exec_core.inc): both
+ * simulators' run() must retire a byte-identical RVFI stream to their
+ * golden engines, and the RISSP mutation contract must hold.
  *
  * The golden stream is always the one the single-step APIs produce:
  * RefSim::step() is the hand-written reference switch, and the
  * RISSP's gate-level engine is the structural model. The interpreter
- * cores are only allowed to be faster, never different.
+ * core is only allowed to be faster, never different.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -141,18 +139,41 @@ sameSnapshot(const RunSnapshot &a, const RunSnapshot &b)
     return ::testing::AssertionSuccess();
 }
 
-/** Golden reference: drive RefSim::step() by hand (the independent
- *  switch statement of the semantics, untouched by the dispatch
- *  rebuild), replicating run()'s stopping rules. */
-RunSnapshot
-refGolden(const Program &program, uint64_t max_steps)
+/** Record @p sim's final architectural state into @p snap. */
+template <typename Sim>
+void
+captureState(const Sim &sim, RunSnapshot &snap)
 {
-    RefSim sim;
-    sim.reset(program);
+    for (unsigned r = 0; r < kNumRegsE; ++r)
+        snap.regs[r] = sim.reg(r);
+    snap.pc = sim.pc();
+    snap.stopped = sim.stopReason();
+    snap.outWords = sim.outputWords();
+    snap.outText = sim.outputText();
+}
+
+uint64_t
+retiredBy(const RefSim &sim)
+{
+    return sim.instret();
+}
+
+uint64_t
+retiredBy(const Rissp &chip)
+{
+    return chip.cycles();
+}
+
+/** Drive a single-step API (@p step, one RetireEvent per call) by
+ *  hand, replicating run()'s stopping rules. */
+template <typename Sim, typename Step>
+RunSnapshot
+steppedRun(const Sim &sim, uint64_t max_steps, Step step)
+{
     RunSnapshot snap;
     snap.result.reason = StopReason::StepLimit;
     for (uint64_t i = 0; i < max_steps; ++i) {
-        const RetireEvent ev = sim.step();
+        const RetireEvent ev = step();
         snap.trace.push_back(ev);
         if (ev.halt) {
             snap.result.reason = StopReason::Halted;
@@ -164,19 +185,35 @@ refGolden(const Program &program, uint64_t max_steps)
             break;
         }
     }
-    snap.result.instret = sim.instret();
+    snap.result.instret = retiredBy(sim);
     snap.result.stopPc = snap.result.reason == StopReason::StepLimit
                              ? sim.pc()
                              : snap.trace.back().pc;
-    for (unsigned r = 0; r < kNumRegsE; ++r)
-        snap.regs[r] = sim.reg(r);
-    snap.pc = sim.pc();
-    snap.stopped = snap.result.reason == StopReason::StepLimit
-                       ? StopReason::Running
-                       : sim.stopReason();
-    snap.outWords = sim.outputWords();
-    snap.outText = sim.outputText();
+    captureState(sim, snap);
     return snap;
+}
+
+/** Golden reference: drive RefSim::step() by hand (the independent
+ *  switch statement of the semantics, untouched by the interpreter
+ *  core). */
+RunSnapshot
+refGolden(const Program &program, uint64_t max_steps)
+{
+    RefSim sim;
+    sim.reset(program);
+    return steppedRun(sim, max_steps, [&] { return sim.step(); });
+}
+
+/** Drive Rissp::step(@p mut) by hand: the gate-level single step for
+ *  any non-null @p mut, the specialized core's one-record step for
+ *  null. */
+RunSnapshot
+risspStepped(const Program &program, const InstrSubset &subset,
+             uint64_t max_steps, const Mutation *mut)
+{
+    Rissp chip(subset, "dispatch-test");
+    chip.reset(program);
+    return steppedRun(chip, max_steps, [&] { return chip.step(mut); });
 }
 
 /** Drive @p sim's run() in traced calls of at most @p block steps
@@ -205,7 +242,7 @@ tracedRun(Sim &sim, Options options, std::vector<RetireEvent> &trace,
 }
 
 RunSnapshot
-refRun(const Program &program, uint64_t max_steps, DispatchMode mode,
+refRun(const Program &program, uint64_t max_steps,
        uint64_t block = kCosimBlock)
 {
     RefSim sim;
@@ -213,20 +250,14 @@ refRun(const Program &program, uint64_t max_steps, DispatchMode mode,
     RunSnapshot snap;
     SimRunOptions options;
     options.maxSteps = max_steps;
-    options.dispatch = mode;
     snap.result = tracedRun(sim, options, snap.trace, block);
-    for (unsigned r = 0; r < kNumRegsE; ++r)
-        snap.regs[r] = sim.reg(r);
-    snap.pc = sim.pc();
-    snap.stopped = sim.stopReason();
-    snap.outWords = sim.outputWords();
-    snap.outText = sim.outputText();
+    captureState(sim, snap);
     return snap;
 }
 
 RunSnapshot
 risspRun(const Program &program, const InstrSubset &subset,
-         uint64_t max_steps, const RisspRunOptions &base,
+         uint64_t max_steps, const RisspRunOptions &base = {},
          uint64_t block = kCosimBlock)
 {
     Rissp chip(subset, "dispatch-test");
@@ -235,43 +266,42 @@ risspRun(const Program &program, const InstrSubset &subset,
     RisspRunOptions options = base;
     options.maxSteps = max_steps;
     snap.result = tracedRun(chip, options, snap.trace, block);
-    for (unsigned r = 0; r < kNumRegsE; ++r)
-        snap.regs[r] = chip.reg(r);
-    snap.pc = chip.pc();
-    snap.stopped = chip.stopReason();
-    snap.outWords = chip.outputWords();
-    snap.outText = chip.outputText();
+    captureState(chip, snap);
     return snap;
 }
 
-/** Every engine of both simulators against the two golden streams
- *  (RefSim::step(), RISSP gate-level) on one program. */
+/** An inactive fault: under the mutation contract it still routes
+ *  Rissp::run() through the gate-level structural engine. */
+const Mutation kNoFault{Mutation::Kind::None, 0};
+
+/** Run options of the fault-free gate-level engine. */
+RisspRunOptions
+gateOptions()
+{
+    RisspRunOptions options;
+    options.fault = &kNoFault;
+    return options;
+}
+
+/** Both simulators' interpreter core against the two golden streams
+ *  (RefSim::step(), RISSP gate level) on one program. */
 void
 expectAllEnginesAgree(const Program &program,
                       const InstrSubset &subset,
                       uint64_t max_steps = 100'000)
 {
     const RunSnapshot golden = refGolden(program, max_steps);
-    EXPECT_TRUE(sameSnapshot(
-        golden, refRun(program, max_steps, DispatchMode::Switch)))
-        << "refsim switch core diverges from step()";
-    EXPECT_TRUE(sameSnapshot(
-        golden, refRun(program, max_steps, DispatchMode::Threaded)))
-        << "refsim threaded core diverges from step()";
+    EXPECT_TRUE(sameSnapshot(golden, refRun(program, max_steps)))
+        << "refsim core diverges from step()";
 
-    RisspRunOptions gate;
-    gate.gateLevel = true;
     const RunSnapshot dut_golden =
-        risspRun(program, subset, max_steps, gate);
-    RisspRunOptions fast;
-    fast.dispatch = DispatchMode::Switch;
+        risspRun(program, subset, max_steps, gateOptions());
+    EXPECT_TRUE(sameSnapshot(dut_golden,
+                             risspRun(program, subset, max_steps)))
+        << "rissp specialized core diverges from gate level";
     EXPECT_TRUE(sameSnapshot(
-        dut_golden, risspRun(program, subset, max_steps, fast)))
-        << "rissp specialized switch core diverges from gate level";
-    fast.dispatch = DispatchMode::Threaded;
-    EXPECT_TRUE(sameSnapshot(
-        dut_golden, risspRun(program, subset, max_steps, fast)))
-        << "rissp specialized threaded core diverges from gate level";
+        dut_golden, risspStepped(program, subset, max_steps, nullptr)))
+        << "rissp single step diverges from gate level";
 
     // When the whole subset executes cleanly the two simulators also
     // agree with each other (the cosim suite fuzzes that broadly;
@@ -280,57 +310,6 @@ expectAllEnginesAgree(const Program &program,
         EXPECT_TRUE(sameTrace(golden.trace, dut_golden.trace))
             << "reference and gate-level RISSP streams differ";
     }
-}
-
-TEST(DispatchMode, NamesRoundTrip)
-{
-    for (DispatchMode mode :
-         {DispatchMode::Auto, DispatchMode::Switch,
-          DispatchMode::Threaded}) {
-        const std::optional<DispatchMode> parsed =
-            dispatchModeFromName(dispatchModeName(mode));
-        ASSERT_TRUE(parsed.has_value());
-        EXPECT_EQ(*parsed, mode);
-    }
-    EXPECT_FALSE(dispatchModeFromName("fastest").has_value());
-    EXPECT_FALSE(dispatchModeFromName("").has_value());
-}
-
-TEST(DispatchMode, ResolutionNeverReturnsAuto)
-{
-    const DispatchMode resolved =
-        resolveDispatchMode(DispatchMode::Auto);
-    EXPECT_NE(resolved, DispatchMode::Auto);
-    EXPECT_EQ(resolveDispatchMode(DispatchMode::Switch),
-              DispatchMode::Switch);
-    if (threadedDispatchSupported())
-        EXPECT_EQ(resolveDispatchMode(DispatchMode::Threaded),
-                  DispatchMode::Threaded);
-    else
-        EXPECT_EQ(resolveDispatchMode(DispatchMode::Threaded),
-                  DispatchMode::Switch);
-}
-
-TEST(DispatchMode, EnvOverrideWins)
-{
-    // The tier-1 suite runs single-threaded per process, so the
-    // setenv/unsetenv pair here cannot race another getenv.
-    ASSERT_EQ(setenv("RISSP_DISPATCH", "switch", 1), 0);
-    EXPECT_EQ(resolveDispatchMode(DispatchMode::Auto),
-              DispatchMode::Switch);
-    // An explicit request still beats the environment.
-    if (threadedDispatchSupported()) {
-        EXPECT_EQ(resolveDispatchMode(DispatchMode::Threaded),
-                  DispatchMode::Threaded);
-    }
-    ASSERT_EQ(setenv("RISSP_DISPATCH", "threaded", 1), 0);
-    if (threadedDispatchSupported())
-        EXPECT_EQ(resolveDispatchMode(DispatchMode::Auto),
-                  DispatchMode::Threaded);
-    else
-        EXPECT_EQ(resolveDispatchMode(DispatchMode::Auto),
-                  DispatchMode::Switch);
-    ASSERT_EQ(unsetenv("RISSP_DISPATCH"), 0);
 }
 
 TEST(DispatchDiff, StraightLineHalt)
@@ -392,7 +371,7 @@ TEST(DispatchDiff, WrappingAccessTraps)
 TEST(DispatchDiff, OutOfSubsetTrapRecordsOperands)
 {
     // 'sub' executes on the reference but traps on a RISSP without
-    // it — the unsupported-op path of the specialized cores.
+    // it — the unsupported-op path of the specialized core.
     Program p = assemble(R"(
         li a0, 9
         li a1, 4
@@ -401,15 +380,9 @@ TEST(DispatchDiff, OutOfSubsetTrapRecordsOperands)
     )");
     InstrSubset no_sub = InstrSubset::fromNames(
         {"addi", "add", "lui", "sw"});
-    RisspRunOptions gate;
-    gate.gateLevel = true;
-    const RunSnapshot golden = risspRun(p, no_sub, 100, gate);
+    const RunSnapshot golden = risspRun(p, no_sub, 100, gateOptions());
     ASSERT_EQ(golden.result.reason, StopReason::Trapped);
-    RisspRunOptions fast;
-    fast.dispatch = DispatchMode::Switch;
-    EXPECT_TRUE(sameSnapshot(golden, risspRun(p, no_sub, 100, fast)));
-    fast.dispatch = DispatchMode::Threaded;
-    EXPECT_TRUE(sameSnapshot(golden, risspRun(p, no_sub, 100, fast)));
+    EXPECT_TRUE(sameSnapshot(golden, risspRun(p, no_sub, 100)));
     // The trap event records the operand reads (RVFI contract).
     const RetireEvent &trap_ev = golden.trace.back();
     EXPECT_TRUE(trap_ev.trap);
@@ -434,7 +407,7 @@ TEST(DispatchDiff, SmcMidSuperblockInvalidates)
         ecall
     )", static_cast<int32_t>(patched)));
     expectAllEnginesAgree(p, InstrSubset::fullRv32e());
-    const RunSnapshot done = refRun(p, 100, DispatchMode::Threaded);
+    const RunSnapshot done = refRun(p, 100);
     EXPECT_EQ(done.regs[12], 99u);
 
     // Sub-word patch (imm rewritten through a byte store).
@@ -448,7 +421,7 @@ TEST(DispatchDiff, SmcMidSuperblockInvalidates)
         ecall
     )");
     expectAllEnginesAgree(pb, InstrSubset::fullRv32e());
-    const RunSnapshot doneb = refRun(pb, 100, DispatchMode::Threaded);
+    const RunSnapshot doneb = refRun(pb, 100);
     EXPECT_EQ(doneb.regs[12], 672u);
 }
 
@@ -472,7 +445,7 @@ TEST(DispatchDiff, SmcCanExtendASuperblock)
     )", static_cast<int32_t>(nopw)));
     expectAllEnginesAgree(p, InstrSubset::fullRv32e());
     // The patched path falls through the former jump.
-    const RunSnapshot done = refRun(p, 100, DispatchMode::Threaded);
+    const RunSnapshot done = refRun(p, 100);
     EXPECT_EQ(done.regs[12], 12u);
 }
 
@@ -493,7 +466,7 @@ TEST(DispatchDiff, OffSpanExecutionFallsBack)
     )", static_cast<int32_t>(insn0),
         static_cast<int32_t>(ecallw)));
     expectAllEnginesAgree(p, InstrSubset::fullRv32e());
-    const RunSnapshot done = refRun(p, 100, DispatchMode::Threaded);
+    const RunSnapshot done = refRun(p, 100);
     EXPECT_EQ(done.result.reason, StopReason::Halted);
     EXPECT_EQ(done.regs[12], 55u);
 }
@@ -517,23 +490,11 @@ TEST(DispatchDiff, StepLimitBoundarySweep)
     std::vector<RetireEvent> prev;
     for (uint64_t budget = 0; budget <= 16; ++budget) {
         const RunSnapshot golden = refGolden(p, budget);
-        EXPECT_TRUE(sameSnapshot(
-            golden, refRun(p, budget, DispatchMode::Switch)))
+        EXPECT_TRUE(sameSnapshot(golden, refRun(p, budget)))
             << "budget " << budget;
-        EXPECT_TRUE(sameSnapshot(
-            golden, refRun(p, budget, DispatchMode::Threaded)))
-            << "budget " << budget;
-        RisspRunOptions gate;
-        gate.gateLevel = true;
-        const RunSnapshot dut_golden = risspRun(p, full, budget, gate);
-        RisspRunOptions fast;
-        fast.dispatch = DispatchMode::Threaded;
-        EXPECT_TRUE(sameSnapshot(dut_golden,
-                                 risspRun(p, full, budget, fast)))
-            << "budget " << budget;
-        fast.dispatch = DispatchMode::Switch;
-        EXPECT_TRUE(sameSnapshot(dut_golden,
-                                 risspRun(p, full, budget, fast)))
+        const RunSnapshot dut_golden =
+            risspRun(p, full, budget, gateOptions());
+        EXPECT_TRUE(sameSnapshot(dut_golden, risspRun(p, full, budget)))
             << "budget " << budget;
         // Monotone prefix property across budgets.
         ASSERT_GE(golden.trace.size(), prev.size());
@@ -550,8 +511,8 @@ TEST(DispatchDiff, SplitTracedRunsConcatenateToTheOneCallTrace)
     // A traced run resumed call after call (what cosimulate() does
     // with its block buffer) must retire exactly the one-call stream:
     // budgets of 1, 7 and one cosim block, against a single call whose
-    // sink holds the whole budget, for both simulators, both dispatch
-    // modes and the gate-level engine. The programs halt, stop at
+    // sink holds the whole budget, for both simulators' interpreter
+    // core and the gate-level engine. The programs halt, stop at
     // the step limit mid-run, and trap, each past one block.
     const Program loop = assemble(R"(
         li a0, 0
@@ -592,36 +553,26 @@ TEST(DispatchDiff, SplitTracedRunsConcatenateToTheOneCallTrace)
         const RunSnapshot golden = refGolden(*c.program, c.maxSteps);
         ASSERT_EQ(golden.result.reason, c.stop);
         ASSERT_GT(golden.trace.size(), kCosimBlock);
-        RisspRunOptions gate;
-        gate.gateLevel = true;
+        const RisspRunOptions gate = gateOptions();
+        const RisspRunOptions fast;
         const RunSnapshot dut_golden =
             risspRun(*c.program, full, c.maxSteps, gate, c.maxSteps);
         for (uint64_t block : {uint64_t{1}, uint64_t{7}, kCosimBlock}) {
-            for (DispatchMode mode :
-                 {DispatchMode::Switch, DispatchMode::Threaded}) {
-                EXPECT_TRUE(sameSnapshot(
-                    refRun(*c.program, c.maxSteps, mode, c.maxSteps),
-                    refRun(*c.program, c.maxSteps, mode, block)))
-                    << "refsim " << dispatchModeName(mode)
-                    << ", block " << block;
-                EXPECT_TRUE(sameSnapshot(
-                    golden, refRun(*c.program, c.maxSteps, mode, block)))
-                    << "refsim " << dispatchModeName(mode)
-                    << ", block " << block;
-                RisspRunOptions fast;
-                fast.dispatch = mode;
-                EXPECT_TRUE(sameSnapshot(
-                    risspRun(*c.program, full, c.maxSteps, fast,
-                             c.maxSteps),
-                    risspRun(*c.program, full, c.maxSteps, fast, block)))
-                    << "rissp " << dispatchModeName(mode) << ", block "
-                    << block;
-                EXPECT_TRUE(sameSnapshot(
-                    dut_golden,
-                    risspRun(*c.program, full, c.maxSteps, fast, block)))
-                    << "rissp " << dispatchModeName(mode) << ", block "
-                    << block;
-            }
+            EXPECT_TRUE(sameSnapshot(
+                refRun(*c.program, c.maxSteps, c.maxSteps),
+                refRun(*c.program, c.maxSteps, block)))
+                << "refsim, block " << block;
+            EXPECT_TRUE(sameSnapshot(
+                golden, refRun(*c.program, c.maxSteps, block)))
+                << "refsim, block " << block;
+            EXPECT_TRUE(sameSnapshot(
+                risspRun(*c.program, full, c.maxSteps, fast, c.maxSteps),
+                risspRun(*c.program, full, c.maxSteps, fast, block)))
+                << "rissp, block " << block;
+            EXPECT_TRUE(sameSnapshot(
+                dut_golden,
+                risspRun(*c.program, full, c.maxSteps, fast, block)))
+                << "rissp, block " << block;
             EXPECT_TRUE(sameSnapshot(
                 dut_golden,
                 risspRun(*c.program, full, c.maxSteps, gate, block)))
@@ -652,12 +603,9 @@ TEST_P(DispatchFuzz, RandomProgramsAreEngineInvariant)
     expectAllEnginesAgree(prog, subset);
 
     // The interpreter streams also satisfy the RVFI monitors.
-    const RunSnapshot t =
-        refRun(prog, 100'000, DispatchMode::Threaded);
+    const RunSnapshot t = refRun(prog, 100'000);
     EXPECT_TRUE(checkRvfiStream(t.trace).passed());
-    RisspRunOptions fast;
-    fast.dispatch = DispatchMode::Threaded;
-    const RunSnapshot d = risspRun(prog, subset, 100'000, fast);
+    const RunSnapshot d = risspRun(prog, subset, 100'000);
     EXPECT_TRUE(checkRvfiStream(d.trace).passed());
 }
 
@@ -667,14 +615,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DispatchFuzz,
 TEST(MutationContract, EveryKindRoutesThroughGateLevel)
 {
     // The pinned contract: a non-null Mutation — Kind::None included
-    // — always selects the gate-level engine, under every dispatch
-    // setting, so mutation coverage can never silently run on the
-    // specialized cores. Observable as (a) dispatch-invariance of
-    // every faulty run and (b) the faults actually biting.
+    // — always selects the gate-level engine, so mutation coverage
+    // can never silently run on the specialized core. Observable as
+    // (a) every faulty run() retiring exactly the stream of the
+    // gate-level single step under the same fault, (b) the inactive
+    // fault matching the specialized core, and (c) the faults
+    // actually biting.
     Program p = archTestProgram(Op::Add);
     const InstrSubset full = InstrSubset::fullRv32e();
-    RisspRunOptions clean;
-    const RunSnapshot clean_run = risspRun(p, full, 100'000, clean);
+    const RunSnapshot clean_run = risspRun(p, full, 100'000);
 
     static const Mutation::Kind kKinds[] = {
         Mutation::Kind::None,
@@ -694,21 +643,14 @@ TEST(MutationContract, EveryKindRoutesThroughGateLevel)
         const Mutation mut{kind, 3};
         RisspRunOptions opts;
         opts.fault = &mut;
-        opts.dispatch = DispatchMode::Switch;
         const RunSnapshot a = risspRun(p, full, 100'000, opts);
-        opts.dispatch = DispatchMode::Threaded;
-        const RunSnapshot b = risspRun(p, full, 100'000, opts);
-        opts.dispatch = DispatchMode::Auto;
-        const RunSnapshot c = risspRun(p, full, 100'000, opts);
-        EXPECT_TRUE(sameSnapshot(a, b))
-            << "fault run depends on dispatch mode for "
-            << mut.describe();
-        EXPECT_TRUE(sameSnapshot(a, c))
-            << "fault run depends on dispatch mode for "
+        EXPECT_TRUE(
+            sameSnapshot(risspStepped(p, full, 100'000, &mut), a))
+            << "fault run() diverges from the gate-level step for "
             << mut.describe();
         if (kind == Mutation::Kind::None) {
             // An inactive mutation through the gate-level chain is
-            // still bit-identical to the specialized cores.
+            // still bit-identical to the specialized core.
             EXPECT_TRUE(sameSnapshot(clean_run, a));
         }
     }
@@ -726,15 +668,15 @@ TEST(MutationContract, EveryKindRoutesThroughGateLevel)
 TEST(MutationContract, CosimVerdictsMatchUnderEveryDispatch)
 {
     // cosimulate() runs the RISSP in traced blocks, so its fault path
-    // goes through run() with a fault (the gate-level engine): the
-    // divergence verdict must be the same whichever dispatch mode the
-    // environment pre-selects.
+    // goes through run() with a fault (the gate-level engine) and its
+    // clean path through the specialized core: the fault must be
+    // caught with the same divergence verdict every time, and the
+    // clean run must pass.
     Program p = archTestProgram(Op::Add);
     const InstrSubset full = InstrSubset::fullRv32e();
     const Mutation fault{Mutation::Kind::CarryChainBreak, 3};
     std::vector<std::string> verdicts;
-    for (const char *env : {"switch", "threaded"}) {
-        ASSERT_EQ(setenv("RISSP_DISPATCH", env, 1), 0);
+    for (int run = 0; run < 2; ++run) {
         CosimOptions options;
         options.maxSteps = 100'000;
         options.fault = &fault;
@@ -744,7 +686,6 @@ TEST(MutationContract, CosimVerdictsMatchUnderEveryDispatch)
         CosimReport ok = cosimulate(p, full, 100'000);
         EXPECT_TRUE(ok.passed) << ok.firstDivergence;
     }
-    ASSERT_EQ(unsetenv("RISSP_DISPATCH"), 0);
     ASSERT_EQ(verdicts.size(), 2u);
     EXPECT_EQ(verdicts[0], verdicts[1]);
 }
@@ -752,7 +693,7 @@ TEST(MutationContract, CosimVerdictsMatchUnderEveryDispatch)
 TEST(DispatchDiff, ExecCountsAreEngineIndependent)
 {
     // ModularEx's per-op dynamic counts feed characterization
-    // reports; the specialized cores must charge them exactly like
+    // reports; the specialized core must charge them exactly like
     // execute() does (including ops that later trap on a bad
     // address, excluding unsupported ones).
     Program p = assemble(R"(
@@ -765,32 +706,20 @@ TEST(DispatchDiff, ExecCountsAreEngineIndependent)
         ecall
     )");
     const InstrSubset full = InstrSubset::fullRv32e();
-    std::array<std::array<uint64_t, kNumOps>, 3> counts;
+    std::array<std::array<uint64_t, kNumOps>, 2> counts;
     size_t n = 0;
-    for (DispatchMode mode :
-         {DispatchMode::Switch, DispatchMode::Threaded}) {
+    for (const RisspRunOptions &options :
+         {RisspRunOptions{}, gateOptions()}) {
         Rissp chip(full, "counts");
         chip.reset(p);
-        RisspRunOptions options;
-        options.dispatch = mode;
         chip.run(options);
         counts[n++] = chip.modularEx().execCounts();
     }
-    {
-        Rissp chip(full, "counts-gate");
-        chip.reset(p);
-        RisspRunOptions options;
-        options.gateLevel = true;
-        chip.run(options);
-        counts[n++] = chip.modularEx().execCounts();
-    }
-    EXPECT_EQ(counts[0], counts[2])
-        << "switch-core exec counts diverge from gate level";
-    EXPECT_EQ(counts[1], counts[2])
-        << "threaded-core exec counts diverge from gate level";
-    EXPECT_EQ(counts[2][static_cast<size_t>(Op::Add)], 2u);
+    EXPECT_EQ(counts[0], counts[1])
+        << "core exec counts diverge from gate level";
+    EXPECT_EQ(counts[1][static_cast<size_t>(Op::Add)], 2u);
     // The wrapping lw still charged its block before trapping.
-    EXPECT_EQ(counts[2][static_cast<size_t>(Op::Lw)], 1u);
+    EXPECT_EQ(counts[1][static_cast<size_t>(Op::Lw)], 1u);
 }
 
 } // namespace

@@ -79,24 +79,15 @@ ctest --output-on-failure -j "$JOBS"
 # build so CI can upload it as an artifact (docs/BENCHMARKS.md).
 ./bench_micro --quick --json BENCH_simspeed.json
 
-# Perf smoke on the dispatch rebuild: threaded dispatch should not be
-# slower than the portable switch core, and block-stepped cosim should
-# stay close to its RefSim::step() floor. A soft gate — sanitizer and
-# debug configurations legitimately flip the ratio — so it warns
+# Perf smoke on lock-step cosim: block-stepped cosim should stay
+# close to its RefSim::step() floor. A soft gate — sanitizer and
+# debug configurations legitimately shift the ratio — so it warns
 # loudly instead of failing (docs/BENCHMARKS.md).
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF' || true
 import json
 rows = {b["name"]: b["items_per_second"]
         for b in json.load(open("BENCH_simspeed.json"))["benchmarks"]}
-sw, th = rows.get("refsim_run_switch"), rows.get("refsim_run_threaded")
-if sw and th:
-    print("ci.sh: refsim threaded/switch ratio: %.2fx"
-          " (switch %.3e, threaded %.3e instret/s)" % (th / sw, sw, th))
-    if th < sw:
-        print("ci.sh: WARNING: threaded dispatch is SLOWER than the"
-              " switch core on this runner/configuration -- perf"
-              " regression in the threaded interpreter?")
 # Block-stepped cosim: the golden RefSim::step() loop is its floor,
 # so cosim should keep well above a third of that rate.
 step, cosim = rows.get("refsim_step"), rows.get("cosim")
@@ -110,7 +101,7 @@ if step and cosim:
               " lock-step (traced RISSP core or the checks)?")
 EOF
 else
-    echo "ci.sh: python3 not found; skipping dispatch perf smoke" >&2
+    echo "ci.sh: python3 not found; skipping cosim perf smoke" >&2
 fi
 
 # Serving-layer trajectory: 16 concurrent clients against a live

@@ -362,9 +362,8 @@ checkHotSwitchDecode(const SourceFile &f, std::vector<Finding> &out)
                         std::string(ct.text) +
                         "' in a simulator hot path — instruction "
                         "dispatch belongs to the shared interpreter "
-                        "core (sim/exec_core.inc, selected via "
-                        "sim/dispatch.hh), not ad-hoc decode "
-                        "switches");
+                        "core (sim/exec_core.inc), not ad-hoc "
+                        "decode switches");
                 break;
             }
         }
