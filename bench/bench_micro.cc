@@ -309,14 +309,16 @@ main(int argc, char **argv)
     }
 
     // Scheduler dispatch cost: how much the execution layer charges
-    // per stage before the stage does any work — a graph of no-op
-    // stages run to completion on the default worker pool.
+    // per stage before the stage does any work — independent no-op
+    // stages submitted to the default worker pool, then waited on.
     bench("sched_overhead", "task", [&] {
-        exec::TaskGraph graph;
-        for (int i = 0; i < 4096; ++i)
-            graph.add([] {});
         exec::Scheduler scheduler;
-        scheduler.runToCompletion(std::move(graph));
+        std::vector<exec::Scheduler::Handle> handles;
+        handles.reserve(4096);
+        for (int i = 0; i < 4096; ++i)
+            handles.push_back(scheduler.submit([] {}));
+        for (const exec::Scheduler::Handle &handle : handles)
+            handle.wait();
         return 4096;
     });
 

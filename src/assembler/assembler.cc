@@ -871,7 +871,7 @@ class Assembler
     layout()
     {
         textStart = options.textBase;
-        dataStart = options.dataBase;
+        dataStart = kAsmDataBase;
         assignOffsets(data);
         // Branch relaxation: iterate until every conditional branch
         // reaches its target (relaxing one branch can push another

@@ -22,12 +22,13 @@
 namespace rissp
 {
 
+/** Load address of .data in every assembled image. */
+constexpr uint32_t kAsmDataBase = 0x10000;
+
 /** Memory layout knobs for the assembled image. */
 struct AsmOptions
 {
     uint32_t textBase = 0x0;       ///< load address of .text
-    uint32_t dataBase = 0x10000;   ///< load address of .data
-    bool listing = false;          ///< dump a listing to stderr
 };
 
 /** Result of a tryAssemble() call. */

@@ -50,10 +50,10 @@ class ModularEx
     const InstrSubset &subset() const { return exSubset; }
 
     /** Per-op stitched-block map, indexed by (size_t)Op — the
-     *  partial decoder's enable lines. The specialized dispatch
-     *  cores (sim/exec_core.inc) build their handler tables from
-     *  this, so an unstitched op traps exactly like it does through
-     *  execute(). */
+     *  partial decoder's enable lines. Rissp::reset builds its
+     *  decoded handler tokens from this (sim/decoded_program.hh), so
+     *  an unstitched op traps in the specialized dispatch core
+     *  exactly like it does through execute(). */
     const std::array<bool, kNumOps> &enabledOps() const
     {
         return enabled;

@@ -22,7 +22,7 @@ Rissp::reset(const Program &program)
     const AddrSpan span = program.denseSpan();
     mem.reserveSpan(span.base, span.size);
     program.load(mem);
-    dec.build(program, mem);
+    dec.build(program, mem, &ex.enabledOps());
     stopped = StopReason::Running;
     retired = 0;
     outWords.clear();

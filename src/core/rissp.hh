@@ -110,13 +110,10 @@ class Rissp
     template <bool kTrace>
     RunResult runCore(uint64_t maxSteps, TraceSink *traceOut);
 
-    // exec_core.inc hooks: only stitched blocks execute, every
-    // retire charges ModularEx's counters, and off-span execution
-    // goes through the gate-level engine.
-    bool coreTokenEnabled(uint8_t tok) const
-    {
-        return tok < kNumOps && ex.enabledOps()[tok];
-    }
+    // exec_core.inc hooks: every retire charges ModularEx's
+    // counters, and off-span execution goes through the gate-level
+    // engine. Only stitched blocks execute: reset() gives every other
+    // op the trap token.
     void coreNoteExec(uint8_t tok) const
     {
         ex.noteExec(static_cast<Op>(tok));

@@ -2,48 +2,25 @@
  * @file
  * Scheduler implementation: one mutex-guarded task store with
  * per-worker deques (LIFO own pop, FIFO steal), lazy worker start,
- * dependency counting, failure/cancellation propagation, and a
- * deterministic inline path for single-threaded graph runs.
+ * dependency counting, and failure/cancellation propagation.
  *
  * Stages are heavyweight (a compile, a cosimulated workload run, a
- * 117-point synthesis sweep), so one coarse mutex around the graph
+ * 117-point synthesis sweep), so one coarse mutex around the task
  * state is deliberately chosen over lock-free deques: transitions are
  * microseconds apart, and a single lock keeps every state machine —
- * completion, propagation, cancellation, group accounting — trivially
- * race-free under ThreadSanitizer. `bench_micro`'s `sched_overhead`
+ * completion, propagation, cancellation — trivially race-free under
+ * ThreadSanitizer. `bench_micro`'s `sched_overhead`
  * row keeps the dispatch cost honest.
  */
 
 #include "exec/scheduler.hh"
-
-#include <queue>
 
 #include "util/logging.hh"
 
 namespace rissp::exec
 {
 
-TaskId
-TaskGraph::add(TaskFn fn, const std::vector<TaskId> &deps,
-               std::string label)
-{
-    const TaskId id = static_cast<TaskId>(nodes.size());
-    for (TaskId dep : deps) {
-        if (dep >= id)
-            panic("TaskGraph::add: node %u depends on %u, which is "
-                  "not in the graph yet (graphs are acyclic by "
-                  "construction)",
-                  id, dep);
-    }
-    Node node;
-    node.fn = std::move(fn);
-    node.label = std::move(label);
-    node.deps = deps;
-    nodes.push_back(std::move(node));
-    return id;
-}
-
-/** One dynamically tracked task (graph nodes get one each too). */
+/** One dynamically submitted task. */
 struct Scheduler::Handle::Task
 {
     enum class State : uint8_t
@@ -63,15 +40,6 @@ struct Scheduler::Handle::Task
     std::exception_ptr error; ///< set when state == Failed
     std::promise<void> promise;
     std::shared_future<void> future;
-    Group *group = nullptr; ///< owning runToCompletion call, if any
-    TaskId node = 0;        ///< id within the group's graph
-};
-
-struct Scheduler::Group
-{
-    size_t pending = 0;
-    TaskId firstFailedNode = ~TaskId{0};
-    std::exception_ptr firstFailure;
 };
 
 namespace
@@ -148,24 +116,13 @@ Scheduler::popLocked(unsigned self)
 }
 
 void
-Scheduler::enqueueReadyLocked(const TaskPtr &task, unsigned hint)
+Scheduler::enqueueReadyLocked(const TaskPtr &task)
 {
+    // Round-robin over the deques; which worker executes the task is
+    // whoever pops or steals it first.
     task->state = State::Ready;
-    queues[hint % queues.size()].push_back(task);
+    queues[nextQueue++ % queues.size()].push_back(task);
     workCv.notify_one();
-}
-
-void
-Scheduler::failDependentsLocked(const TaskPtr &task,
-                                const std::exception_ptr &error)
-{
-    // Dependents of a failed (or cancelled) task never run; they
-    // complete with the same exception, transitively. Dependents
-    // that already settled through another path are left alone.
-    for (const TaskPtr &dependent : task->dependents) {
-        if (dependent->state == State::Blocked)
-            completeLocked(dependent, error);
-    }
 }
 
 void
@@ -179,32 +136,21 @@ Scheduler::completeLocked(const TaskPtr &task,
         task->state = State::Failed;
         task->error = error;
         task->promise.set_exception(error);
+        // Dependents of a failed (or cancelled) task never run; they
+        // complete with the same exception, transitively. Dependents
+        // that already settled through another path are left alone.
+        for (const TaskPtr &dependent : task->dependents)
+            if (dependent->state == State::Blocked)
+                completeLocked(dependent, error);
     } else {
         task->state = State::Done;
         task->promise.set_value();
-    }
-    if (Group *group = task->group) {
-        if (error && task->node < group->firstFailedNode) {
-            group->firstFailedNode = task->node;
-            group->firstFailure = error;
-        }
-        --group->pending;
-    }
-    if (error) {
-        failDependentsLocked(task, error);
-    } else {
-        for (const TaskPtr &dependent : task->dependents) {
+        for (const TaskPtr &dependent : task->dependents)
             if (dependent->state == State::Blocked &&
-                --dependent->pendingDeps == 0) {
-                // Ready dependents go to the completing thread's
-                // nominal queue slot; which worker executes them is
-                // whoever pops or steals first.
-                enqueueReadyLocked(dependent, nextQueue++);
-            }
-        }
+                --dependent->pendingDeps == 0)
+                enqueueReadyLocked(dependent);
     }
     task->dependents.clear();
-    doneCv.notify_all();
     if (stopping)
         workCv.notify_all();
 }
@@ -285,7 +231,7 @@ Scheduler::submit(TaskFn fn, const std::vector<Handle> &deps,
     }
     task->pendingDeps = pending;
     if (pending == 0)
-        enqueueReadyLocked(task, nextQueue++);
+        enqueueReadyLocked(task);
     return handle;
 }
 
@@ -301,131 +247,6 @@ Scheduler::cancel(const Handle &handle)
     completeLocked(handle.task, std::make_exception_ptr(
                                     TaskCancelled(handle.task->label)));
     return true;
-}
-
-void
-Scheduler::runSerial(TaskGraph &graph)
-{
-    // Deterministic inline execution: always run the lowest-id
-    // ready node next. Because subgraphs are added in work order
-    // (e.g. one exploration point's prepare/sim/synth/row before
-    // the next point's), this finishes each subgraph before
-    // starting the next — exactly the old fully-serial per-point
-    // schedule the byte-identical `--threads 1` outputs (and the
-    // per-row memo-hit flags) are pinned against, and it keeps at
-    // most one subgraph's intermediate state alive at a time.
-    const size_t count = graph.nodes.size();
-    std::vector<uint32_t> pending(count, 0);
-    std::vector<std::vector<TaskId>> dependents(count);
-    for (TaskId id = 0; id < count; ++id) {
-        for (TaskId dep : graph.nodes[id].deps) {
-            dependents[dep].push_back(id);
-            ++pending[id];
-        }
-    }
-    std::priority_queue<TaskId, std::vector<TaskId>,
-                        std::greater<TaskId>>
-        ready;
-    for (TaskId id = 0; id < count; ++id)
-        if (pending[id] == 0)
-            ready.push(id);
-
-    std::vector<uint8_t> skipped(count, 0);
-    TaskId firstFailedNode = ~TaskId{0};
-    std::exception_ptr firstFailure;
-    uint64_t ran = 0;
-    while (!ready.empty()) {
-        const TaskId id = ready.top();
-        ready.pop();
-        bool failed = false;
-        try {
-            if (graph.nodes[id].fn)
-                graph.nodes[id].fn(); // null fn = pure join node
-            ++ran;
-        } catch (...) {
-            ++ran;
-            failed = true;
-            if (id < firstFailedNode) {
-                firstFailedNode = id;
-                firstFailure = std::current_exception();
-            }
-        }
-        if (failed) {
-            // Skip every transitive dependent; independent stages
-            // still run, like the concurrent path.
-            std::deque<TaskId> frontier(dependents[id].begin(),
-                                        dependents[id].end());
-            while (!frontier.empty()) {
-                const TaskId d = frontier.front();
-                frontier.pop_front();
-                if (skipped[d])
-                    continue;
-                skipped[d] = 1;
-                frontier.insert(frontier.end(),
-                                dependents[d].begin(),
-                                dependents[d].end());
-            }
-            continue;
-        }
-        for (TaskId d : dependents[id])
-            if (!skipped[d] && --pending[d] == 0)
-                ready.push(d);
-    }
-    {
-        LockGuard lock(mu);
-        executed += ran;
-    }
-    if (firstFailure)
-        std::rethrow_exception(firstFailure);
-}
-
-void
-Scheduler::runToCompletion(TaskGraph graph)
-{
-    if (graph.empty())
-        return;
-    if (numThreads == 1) {
-        runSerial(graph);
-        return;
-    }
-
-    Group group;
-    group.pending = graph.nodes.size();
-    std::vector<TaskPtr> tasks(graph.nodes.size());
-    {
-        UniqueLock lock(mu);
-        if (stopping)
-            panic("Scheduler::runToCompletion during shutdown");
-        ensureWorkersLocked();
-        for (TaskId id = 0; id < tasks.size(); ++id) {
-            auto task = std::make_shared<Handle::Task>();
-            task->fn = std::move(graph.nodes[id].fn);
-            task->label = std::move(graph.nodes[id].label);
-            task->future = task->promise.get_future().share();
-            task->group = &group;
-            task->node = id;
-            tasks[id] = task;
-        }
-        for (TaskId id = 0; id < tasks.size(); ++id) {
-            for (TaskId dep : graph.nodes[id].deps) {
-                tasks[dep]->dependents.push_back(tasks[id]);
-                ++tasks[id]->pendingDeps;
-            }
-        }
-        // Seed the initially ready nodes in id order so low-id
-        // stages start first (plan order under light contention).
-        for (TaskId id = 0; id < tasks.size(); ++id)
-            if (tasks[id]->pendingDeps == 0)
-                enqueueReadyLocked(tasks[id], nextQueue++);
-        // Explicit predicate loop so the analysis sees the guarded
-        // read in the locked scope (a lambda body is checked as a
-        // separate, lock-free function). `group` lives on this
-        // stack frame but is mutated by completeLocked under `mu`.
-        while (group.pending != 0)
-            doneCv.wait(lock);
-    }
-    if (group.firstFailure)
-        std::rethrow_exception(group.firstFailure);
 }
 
 uint64_t

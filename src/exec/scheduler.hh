@@ -3,33 +3,30 @@
  * Work-stealing stage scheduler — the one execution engine under both
  * the design-space `Explorer` and the `FlowService` request verbs.
  *
- * Before this layer existed the repo had two execution models:
- * `Explorer` ran whole plan cells on a batch-only work-stealing pool,
- * and `FlowService` executed every request synchronously on the
- * caller's thread. The `Scheduler` unifies them: the unit of work is
- * a pipeline *stage* (compile, sim, cosim, synth, pnr), stages carry
- * dependency edges, and one instance serves both a blocking
- * whole-graph sweep (`runToCompletion`) and dynamic request traffic
- * (`submit`). Identical in-flight stages are deduplicated one layer
- * up, by the promise-backed entries of `flow::StageCaches`: the first
- * stage to ask for a key computes it on its own worker, racers block
- * on the shared future — so the scheduler never queues the same
- * computation twice, it just runs whatever stage got there first.
+ * The unit of work is a pipeline *stage* (compile, sim, cosim, synth,
+ * pnr, a result-row write): callers `submit` each stage with the
+ * handles of the stages it depends on, and wait on the handles they
+ * need. Both clients build their stage DAGs that way — FlowService
+ * one task per verb stage-table entry, the Explorer a prepare → {sim,
+ * synth} → row subgraph per plan point — so a stage may only depend
+ * on stages submitted before it, and no cycle can be expressed.
+ * Identical in-flight stages are deduplicated one layer up, by the
+ * promise-backed entries of `flow::StageCaches`: the first stage to
+ * ask for a key computes it on its own worker, racers block on the
+ * shared future — so the scheduler never queues the same computation
+ * twice, it just runs whatever stage got there first.
  *
  * Execution rules:
  *  - Workers pop their own deque LIFO (cache-warm) and steal FIFO
- *    from victims, like the exploration pool this class absorbed.
- *  - A scheduler constructed with 1 thread runs `runToCompletion`
- *    inline on the caller, always executing the lowest-id ready node
- *    next — the deterministic depth-first schedule the
- *    byte-identical `--threads 1` outputs are pinned against.
+ *    from victims.
  *  - A stage that throws completes exceptionally; its dependents
  *    never run and complete with the *same* exception, transitively.
- *    `runToCompletion` rethrows the failure of the lowest-id failed
- *    node after the whole graph has settled (independent stages
- *    still run). `Handle::wait` rethrows for dynamic tasks.
+ *    Independent stages still run. `Handle::wait` rethrows.
  *  - `cancel` stops a not-yet-started task; its waiters and
  *    dependents observe `TaskCancelled`. Running tasks finish.
+ *  - There is no inline mode: a one-thread caller that wants a
+ *    deterministic schedule runs its stages itself (as the Explorer
+ *    does).
  *
  * Thread-safety: every method is safe to call from any thread,
  * including from inside a running task (but a task must not wait on
@@ -46,6 +43,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -53,11 +51,15 @@
 #include <thread>
 #include <vector>
 
-#include "exec/task_graph.hh"
 #include "util/mutex.hh"
 
 namespace rissp::exec
 {
+
+/** One unit of work. Stages communicate through captured state, not
+ *  return values; the scheduler only observes completion or a thrown
+ *  exception. */
+using TaskFn = std::function<void()>;
 
 /** Delivered to waiters and dependents of a cancelled task. */
 class TaskCancelled : public std::runtime_error
@@ -122,17 +124,6 @@ class Scheduler
      */
     bool cancel(const Handle &handle);
 
-    /**
-     * Execute every node of @p graph, respecting its edges; blocks
-     * until the graph has settled. With 1 thread, runs inline on the
-     * caller (lowest ready id first); otherwise the worker pool
-     * executes ready nodes concurrently, stealing as needed.
-     * Reentrant: concurrent graphs (and dynamic tasks) share the
-     * workers. If any node threw, rethrows the exception of the
-     * lowest-id failed node after the graph settles.
-     */
-    void runToCompletion(TaskGraph graph);
-
     unsigned threadCount() const { return numThreads; }
 
     /** Tasks obtained by stealing rather than from the executing
@@ -159,36 +150,27 @@ class Scheduler
   private:
     using TaskPtr = std::shared_ptr<Handle::Task>;
 
-    /** Completion accounting for one runToCompletion call. */
-    struct Group;
-
     void ensureWorkersLocked() RISSP_REQUIRES(mu);
     void workerLoop(unsigned self);
     TaskPtr popLocked(unsigned self) RISSP_REQUIRES(mu);
-    void enqueueReadyLocked(const TaskPtr &task, unsigned hint)
-        RISSP_REQUIRES(mu);
+    void enqueueReadyLocked(const TaskPtr &task) RISSP_REQUIRES(mu);
     void completeLocked(const TaskPtr &task,
                         std::exception_ptr error) RISSP_REQUIRES(mu);
-    void failDependentsLocked(const TaskPtr &task,
-                              const std::exception_ptr &error)
-        RISSP_REQUIRES(mu);
-    void runSerial(TaskGraph &graph) RISSP_EXCLUDES(mu);
 
     unsigned numThreads; ///< immutable after construction
 
     mutable Mutex mu;
     CondVar workCv;  ///< workers: work or stop
-    CondVar doneCv;  ///< waiters: a task settled
     /** One deque per worker. Task structs popped from a deque are
-     *  also guarded by `mu` (state transitions, dependents, group
-     *  accounting all happen under it); only `fn` runs unlocked. */
+     *  also guarded by `mu` (state transitions and dependents
+     *  all happen under it); only `fn` runs unlocked. */
     std::vector<std::deque<TaskPtr>> queues RISSP_GUARDED_BY(mu);
     /** Created once by ensureWorkersLocked() under `mu`; joined by
      *  the destructor after `stopping` is set (no lock: workers need
      *  `mu` to observe the stop and exit). */
     std::vector<std::thread> workers RISSP_GUARDED_BY(mu);
     bool stopping RISSP_GUARDED_BY(mu) = false;
-    /** Round-robin slot for external pushes. */
+    /** Round-robin slot for the next ready task. */
     unsigned nextQueue RISSP_GUARDED_BY(mu) = 0;
     uint64_t steals RISSP_GUARDED_BY(mu) = 0;
     uint64_t executed RISSP_GUARDED_BY(mu) = 0;

@@ -5,6 +5,10 @@
 
 #include "explore/explorer.hh"
 
+#include <algorithm>
+#include <numeric>
+#include <thread>
+
 #include "core/rissp.hh"
 #include "exec/scheduler.hh"
 #include "explore/fingerprint.hh"
@@ -172,117 +176,168 @@ Explorer::explore(const ExplorationPlan &plan)
     const std::vector<PlanPoint> points = plan.expand();
     ResultTable table(points.size());
 
-    // Per-point state shared between that point's stage nodes. The
-    // sim and synth stages write disjoint members of the same row,
-    // so the two can run on different workers without a lock.
+    // Per-point state shared between that point's stages. The sim
+    // and synth stages write disjoint members of the same row, so
+    // the two can run on different workers without a lock.
     struct PointState
     {
         ExplorationResult row;
+        const Technology *tech = nullptr;
         minic::CompileResult compiled; ///< filled when simulating
         uint64_t subsetFp = 0;
     };
     std::vector<PointState> states(points.size());
 
-    // One subgraph per point, at pipeline-stage granularity:
+    // Each point runs these stages, at pipeline granularity:
     //
     //      prepare ──► sim ────┐
     //         │    └──► synth ─┴─► row
     //
     // so one point's synthesis overlaps another's co-simulation and
-    // the scheduler steals whichever stage is ready. Nodes are added
-    // in plan order; with one thread the scheduler always runs the
-    // lowest-id ready node next, which finishes each point before
-    // starting the next — the old fully-serial schedule the per-row
-    // memo-hit flags are pinned against.
-    exec::TaskGraph graph;
-    for (const PlanPoint &pt : points) {
+    // the workers steal whichever stage is ready. Deps index earlier
+    // entries; a stage runs on point i.
+    struct Stage
+    {
+        const char *label;
+        std::function<void(size_t)> fn;
+        std::vector<size_t> deps;
+    };
+    std::vector<Stage> stages;
+    stages.push_back({"prepare", [&](size_t i) {
+        const PlanPoint &pt = points[i];
         const SubsetSpec &sspec = plan.subsets[pt.subsetIdx];
-        const std::string &wlName = plan.workloads[pt.workloadIdx];
         const TechSpec &tech = plan.techs.empty()
             ? defaultTechSpec() : plan.techs[pt.techIdx];
-        PointState &state = states[pt.index];
-
-        const exec::TaskId prepare = graph.add(
-            [this, &plan, &sspec, &wlName, &tech, &state, pt] {
-                ExplorationResult &row = state.row;
-                row.index = pt.index;
-                row.subsetName = sspec.name;
-                row.workloadName = wlName;
-                row.techName = tech.tech.name;
-                row.subset = resolveSubset(sspec, plan.opt);
-                row.subsetSize = row.subset.size();
-                state.subsetFp = subsetFingerprint(row.subset);
-                if (opts.simulate)
-                    state.compiled =
-                        compileWorkload(wlName, plan.opt);
-            },
-            {}, "prepare");
-
-        std::vector<exec::TaskId> rowDeps{prepare};
-        if (opts.simulate) {
-            rowDeps.push_back(graph.add(
-                [this, &plan, &wlName, &state] {
-                    ExplorationResult &row = state.row;
-                    const FingerprintPair simKey{
-                        state.subsetFp,
-                        workloadKey(wlName, plan.opt)};
-                    row.simMemoHit = noteSimLookup(simKey);
-                    const flow::SimOutcome sim =
-                        caches->simLookup(simKey, [&] {
-                            return simulatePoint(row.subset,
-                                                 state.compiled);
-                        });
-                    row.simRun = true;
-                    row.trapped = sim.trapped;
-                    row.cosimPassed = sim.cosimPassed;
-                    row.cycles = sim.cycles;
-                    row.exitCode = sim.exitCode;
-                    row.signature = sim.signature;
-                    // The sim stage is the compiled image's only
-                    // consumer; release it so a large plan holds
-                    // at most the in-flight images, not one per
-                    // point for the whole sweep.
-                    state.compiled = {};
-                },
-                {prepare}, "sim"));
-        }
-        if (opts.synthesize) {
-            rowDeps.push_back(graph.add(
-                [this, &sspec, &tech, &state] {
-                    ExplorationResult &row = state.row;
-                    const FingerprintPair synthKey{
-                        state.subsetFp,
-                        techFingerprint(tech.tech)};
-                    row.synthMemoHit = noteSynthLookup(synthKey);
-                    const flow::SynthOutcome synth =
-                        caches->synthLookup(synthKey, [&] {
-                            return synthesizePoint(row.subset,
-                                                   sspec.name,
-                                                   tech.tech);
-                        });
-                    row.synthRun = true;
-                    row.fmaxKhz = synth.fmaxKhz;
-                    row.avgAreaGe = synth.avgAreaGe;
-                    row.avgPowerMw = synth.avgPowerMw;
-                    row.epiNj = synth.epiNj;
-                    row.physRun = synth.physRun;
-                    row.dieAreaMm2 = synth.dieAreaMm2;
-                    row.physPowerMw = synth.physPowerMw;
-                },
-                {prepare}, "synth"));
-        }
-        graph.add(
-            [this, &table, &state] {
-                pointCount.fetch_add(1, std::memory_order_relaxed);
-                table.set(std::move(state.row));
-            },
-            rowDeps, "row");
+        PointState &state = states[i];
+        ExplorationResult &row = state.row;
+        row.index = pt.index;
+        row.subsetName = sspec.name;
+        row.workloadName = plan.workloads[pt.workloadIdx];
+        row.techName = tech.tech.name;
+        row.subset = resolveSubset(sspec, plan.opt);
+        row.subsetSize = row.subset.size();
+        state.tech = &tech.tech;
+        state.subsetFp = subsetFingerprint(row.subset);
+        if (opts.simulate)
+            state.compiled = compileWorkload(row.workloadName, plan.opt);
+    }, {}});
+    if (opts.simulate) {
+        stages.push_back({"sim", [&](size_t i) {
+            PointState &state = states[i];
+            ExplorationResult &row = state.row;
+            // An assumed-passing unverified outcome must never be
+            // served to a verifying sweep, so `verify = false` salts
+            // the key (only then: default-keyed records stay valid).
+            const uint64_t workloadFp = workloadKey(row.workloadName,
+                                                    plan.opt);
+            const FingerprintPair simKey{
+                state.subsetFp,
+                opts.verify ? workloadFp
+                            : fnv1a(std::string("no-verify"),
+                                    workloadFp)};
+            row.simMemoHit = noteSimLookup(simKey);
+            const flow::SimOutcome sim = caches->simLookup(simKey, [&] {
+                return simulatePoint(row.subset, state.compiled);
+            });
+            row.simRun = true;
+            row.trapped = sim.trapped;
+            row.cosimPassed = sim.cosimPassed;
+            row.cycles = sim.cycles;
+            row.exitCode = sim.exitCode;
+            row.signature = sim.signature;
+            // The sim stage is the compiled image's only consumer;
+            // release it so a large plan holds at most the in-flight
+            // images, not one per point for the whole sweep.
+            state.compiled = {};
+        }, {0}});
     }
+    if (opts.synthesize) {
+        stages.push_back({"synth", [&](size_t i) {
+            PointState &state = states[i];
+            ExplorationResult &row = state.row;
+            // Likewise the P&R columns: `physical = true` salts.
+            const uint64_t techFp = techFingerprint(*state.tech);
+            const FingerprintPair synthKey{
+                state.subsetFp,
+                opts.physical ? fnv1a(std::string("physical"), techFp)
+                              : techFp};
+            row.synthMemoHit = noteSynthLookup(synthKey);
+            const flow::SynthOutcome synth =
+                caches->synthLookup(synthKey, [&] {
+                    return synthesizePoint(row.subset, row.subsetName,
+                                           *state.tech);
+                });
+            row.synthRun = true;
+            row.fmaxKhz = synth.fmaxKhz;
+            row.avgAreaGe = synth.avgAreaGe;
+            row.avgPowerMw = synth.avgPowerMw;
+            row.epiNj = synth.epiNj;
+            row.physRun = synth.physRun;
+            row.dieAreaMm2 = synth.dieAreaMm2;
+            row.physPowerMw = synth.physPowerMw;
+        }, {0}});
+    }
+    std::vector<size_t> rowDeps(stages.size());
+    std::iota(rowDeps.begin(), rowDeps.end(), size_t{0});
+    stages.push_back({"row", [&](size_t i) {
+        pointCount.fetch_add(1, std::memory_order_relaxed);
+        table.set(std::move(states[i].row));
+    }, rowDeps});
 
-    const unsigned threads =
-        opts.threads != 0 ? opts.threads : plan.threads;
-    exec::Scheduler scheduler(threads);
-    scheduler.runToCompletion(std::move(graph));
+    // A failed stage skips its dependents; independent stages still
+    // run. Once every stage has settled, the first failure in plan
+    // order (point, then stage) is rethrown.
+    std::exception_ptr firstFailure;
+    auto settle = [&firstFailure](auto &&run) {
+        try {
+            run();
+            return true;
+        } catch (...) {
+            if (!firstFailure)
+                firstFailure = std::current_exception();
+            return false;
+        }
+    };
+    unsigned threads = opts.threads != 0 ? opts.threads : plan.threads;
+    if (threads == 0)
+        threads = std::max(1u, std::thread::hardware_concurrency());
+    if (threads == 1) {
+        // No scheduler: the caller runs point after point, stages in
+        // table order — the deterministic serial schedule the per-row
+        // memo-hit flags are pinned against, holding one point's
+        // intermediate state at a time.
+        std::vector<uint8_t> ok(stages.size());
+        for (size_t i = 0; i < states.size(); ++i) {
+            for (size_t s = 0; s < stages.size(); ++s) {
+                ok[s] = std::all_of(stages[s].deps.begin(),
+                                    stages[s].deps.end(),
+                                    [&ok](size_t d) { return ok[d]; }) &&
+                        settle([&] { stages[s].fn(i); });
+            }
+        }
+    } else {
+        exec::Scheduler scheduler(threads);
+        std::vector<exec::Scheduler::Handle> handles;
+        for (size_t i = 0; i < states.size(); ++i) {
+            const size_t base = handles.size();
+            for (const Stage &stage : stages) {
+                std::vector<exec::Scheduler::Handle> deps;
+                for (size_t dep : stage.deps)
+                    deps.push_back(handles[base + dep]);
+                handles.push_back(scheduler.submit(
+                    [&stage, i] { stage.fn(i); }, deps, stage.label));
+            }
+        }
+        // Every handle, not just each row's: a failed sim fails its
+        // row at once while that point's synth may still be writing
+        // into `states`. A dependent settles with its dependency's
+        // exception, so the first handle to throw in submission order
+        // holds the first failure in plan order.
+        for (const exec::Scheduler::Handle &handle : handles)
+            settle([&handle] { handle.wait(); });
+    }
+    if (firstFailure)
+        std::rethrow_exception(firstFailure);
     return table;
 }
 

@@ -7,13 +7,16 @@
  * lock-step co-simulates against the reference ISS (§3.4.2), and
  * pushes the subset through the synthesis and physical-implementation
  * models (§4.2-4.3). Each point expands into a small stage subgraph
- * (prepare → sim/synth → row) on an `exec::TaskGraph`, and the whole
- * plan runs on a work-stealing `exec::Scheduler`, so one point's
- * synthesis overlaps another's co-simulation;
- * simulation results are memoized on (subset fingerprint, workload
- * fingerprint) and synthesis results on (subset fingerprint, tech
- * fingerprint), so cartesian plans — where the same subset meets many
- * workloads and the same pair meets many corners — only pay for each
+ * (prepare → sim/synth → row) whose stages are submitted, with their
+ * dependency handles, to a work-stealing `exec::Scheduler`, so one
+ * point's synthesis overlaps another's co-simulation. At one thread
+ * there is no scheduler: the caller's thread runs each point's stages
+ * in plan order, finishing one point before the next. Simulation
+ * results are memoized on (subset fingerprint, workload fingerprint)
+ * and synthesis results on (subset fingerprint, tech fingerprint),
+ * each key folding in the option that changes its outcome (`verify`,
+ * `physical`). Cartesian plans, where the same subset meets many
+ * workloads and the same pair meets many corners, thus pay for each
  * distinct computation once. The caches live in a shared
  * `flow::StageCaches` (by default private to the Explorer, but a
  * `FlowService` passes its own), so they persist across explore()
@@ -87,7 +90,8 @@ class Explorer
     /** Explore every point of @p plan; rows come back in plan order.
      *  The plan must validate() (panic() otherwise) — user-provided
      *  plans are validated by parse()/FlowService before they get
-     *  here. */
+     *  here. Returns only after every stage has settled; if any
+     *  threw, rethrows the first failure in plan order. */
     ResultTable explore(const ExplorationPlan &plan);
 
     /** Compile a bundled workload at @p level (memoized; the same

@@ -442,8 +442,8 @@ struct Job<ExploreRequest>
     static const StageTable<ExploreRequest> stages;
 };
 
-/** One stage: the sweep parallelizes internally through the
- *  Explorer's own task graph. */
+/** One stage: the sweep parallelizes internally, on the
+ *  Explorer's own scheduler. */
 void
 exploreStage(const Caches &caches, Job<ExploreRequest> &job)
 {

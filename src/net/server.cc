@@ -37,6 +37,9 @@ namespace rissp::net
 namespace
 {
 
+/** listen(2) backlog of the daemon's socket. */
+constexpr int kListenBacklog = 128;
+
 void
 closeFd(int &fd)
 {
@@ -152,7 +155,7 @@ HttpServer::start()
     }
     if (::bind(listenFd, reinterpret_cast<sockaddr *>(&addr),
                sizeof addr) != 0 ||
-        ::listen(listenFd, options.backlog) != 0) {
+        ::listen(listenFd, kListenBacklog) != 0) {
         const Status status = Status::errorf(
             ErrorCode::Unavailable, "cannot listen on %s:%u: %s",
             options.bindAddress.c_str(), options.port,

@@ -84,7 +84,6 @@ struct ServeOptions
     /** Idle keep-alive connections are reaped after this long
      *  (0 = never). Also bounds mid-request and mid-write stalls. */
     int idleTimeoutMs = 60'000;
-    int backlog = 128;      ///< listen(2) backlog
     /** SO_SNDBUF for accepted sockets (0 = kernel default); bounds
      *  kernel memory under thousands of connections and makes the
      *  partial-write backpressure path deterministic in tests. */

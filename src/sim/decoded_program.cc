@@ -29,8 +29,13 @@ runFrom(Op op, uint16_t next)
 } // namespace
 
 void
-DecodedProgram::build(const Program &program, const Memory &mem)
+DecodedProgram::build(const Program &program, const Memory &mem,
+                      const std::array<bool, kNumOps> *enabled)
 {
+    if (enabled)
+        executes = *enabled;
+    else
+        executes.fill(true);
     textBase = program.textBase;
     textSize = program.textSize & ~3u;
     const uint32_t words = textSize / 4;
@@ -40,7 +45,7 @@ DecodedProgram::build(const Program &program, const Memory &mem)
     toks.reserve(words);
     for (uint32_t off = 0; off < textSize; off += 4) {
         instrs.push_back(decode(mem.loadWord(textBase + off)));
-        toks.push_back(static_cast<uint8_t>(instrs.back().op));
+        toks.push_back(tokenOf(instrs.back().op));
     }
     runs.assign(words, 1);
     recomputeRuns(0, words);
@@ -70,7 +75,7 @@ DecodedProgram::invalidate(const Memory &mem, uint32_t addr,
         ((end < limit ? end : limit) - textBase + 3) / 4);
     for (uint32_t w = first; w < last; ++w) {
         instrs[w] = decode(mem.loadWord(textBase + w * 4));
-        toks[w] = static_cast<uint8_t>(instrs[w].op);
+        toks[w] = tokenOf(instrs[w].op);
     }
     recomputeRuns(first, last);
 }

@@ -14,8 +14,9 @@
  * two side arrays, maintained in lock-step with the decoded words:
  *
  *  - a handler token per word — the Op as a small integer, with
- *    invalid encodings mapped to the trap token — which is what the
- *    threaded core indexes its label table with;
+ *    invalid encodings, and ops the simulator does not execute,
+ *    mapped to the trap token — which is what the threaded core
+ *    indexes its label table with;
  *  - a superblock run length per word: how many instructions starting
  *    there execute strictly straight-line (no branch/jump/halt/
  *    invalid) before a control transfer can occur. The cores use it
@@ -35,6 +36,7 @@
 #ifndef RISSP_SIM_DECODED_PROGRAM_HH
 #define RISSP_SIM_DECODED_PROGRAM_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -52,9 +54,13 @@ class DecodedProgram
     /**
      * Decode the text span of @p program from @p mem (which must
      * already hold the loaded image, so that later re-decodes and the
-     * initial decode read the same bytes).
+     * initial decode read the same bytes). @p enabled, when given, is
+     * the set of ops the simulator executes (Rissp: its stitched
+     * blocks); every other op gets the trap token, here and in every
+     * re-decode.
      */
-    void build(const Program &program, const Memory &mem);
+    void build(const Program &program, const Memory &mem,
+               const std::array<bool, kNumOps> *enabled = nullptr);
 
     /** Drop the cache (fetch() returns nullptr until rebuilt). */
     void clear();
@@ -90,7 +96,8 @@ class DecodedProgram
     uint32_t size() const { return textSize; }
 
     /** Handler token for text word @p idx: `(uint8_t)Op`, with
-     *  `(uint8_t)Op::Invalid` (== kNumOps) as the trap token. */
+     *  `(uint8_t)Op::Invalid` (== kNumOps) as the trap token for
+     *  invalid encodings and ops outside the enabled set. */
     static constexpr uint8_t kTrapToken =
         static_cast<uint8_t>(Op::Invalid);
 
@@ -109,11 +116,18 @@ class DecodedProgram
      *  straight-line words before @p first. */
     void recomputeRuns(uint32_t first, uint32_t last);
 
+    uint8_t tokenOf(Op op) const
+    {
+        return op != Op::Invalid && executes[static_cast<size_t>(op)]
+            ? static_cast<uint8_t>(op) : kTrapToken;
+    }
+
     uint32_t textBase = 0;
     uint32_t textSize = 0;         ///< bytes; always a multiple of 4
     std::vector<Instr> instrs;     ///< one per text word
     std::vector<uint8_t> toks;     ///< handler token per text word
     std::vector<uint16_t> runs;    ///< superblock run length per word
+    std::array<bool, kNumOps> executes{}; ///< the enabled op set
 };
 
 } // namespace rissp

@@ -129,10 +129,6 @@ class RefSim
 
     // exec_core.inc hooks: the reference executes every valid op,
     // counts nothing, and falls back to step() off-span.
-    static bool coreTokenEnabled(uint8_t tok)
-    {
-        return tok < kNumOps;
-    }
     static void coreNoteExec(uint8_t) {}
     RetireEvent coreSlowStep() { return step(); }
 

@@ -1,12 +1,11 @@
 /**
  * @file
- * Tests for the unified execution layer: task-graph construction,
- * dependency ordering, deterministic single-threaded schedules,
- * failure and cancellation propagation, exactly-once stage dedup
- * under heavy contention (including the fault-injected cosim batch
- * that pins the no-poisoning contract), and the byte-identical
- * explore output across thread counts that the whole refactor is
- * pinned against.
+ * Tests for the unified execution layer: dependency ordering of
+ * submitted stages, failure and cancellation propagation,
+ * exactly-once stage dedup under heavy contention (including the
+ * fault-injected cosim batch that pins the no-poisoning contract),
+ * and the byte-identical explore output across thread counts that
+ * the whole refactor is pinned against.
  */
 
 #include <gtest/gtest.h>
@@ -28,31 +27,36 @@ namespace rissp::exec
 namespace
 {
 
-// ----------------------------------------------------------- graphs
+// ------------------------------------------------------- batches
 
-TEST(TaskGraph, IdsAreCreationOrdered)
+/** Wait on every handle, then rethrow the first failure in
+ *  submission order — how a caller runs a batch of stages. */
+void
+waitAll(const std::vector<Scheduler::Handle> &handles)
 {
-    TaskGraph graph;
-    EXPECT_TRUE(graph.empty());
-    const TaskId a = graph.add([] {}, {}, "a");
-    const TaskId b = graph.add([] {}, {a}, "b");
-    const TaskId c = graph.add([] {}, {a, b});
-    EXPECT_EQ(a, 0u);
-    EXPECT_EQ(b, 1u);
-    EXPECT_EQ(c, 2u);
-    EXPECT_EQ(graph.size(), 3u);
-    EXPECT_EQ(graph.label(1), "b");
+    std::exception_ptr first;
+    for (const Scheduler::Handle &handle : handles) {
+        try {
+            handle.wait();
+        } catch (...) {
+            if (!first)
+                first = std::current_exception();
+        }
+    }
+    if (first)
+        std::rethrow_exception(first);
 }
 
 TEST(Scheduler, RunsEveryNodeOnceAcrossThreadCounts)
 {
     for (unsigned threads : {1u, 4u, 16u}) {
         std::vector<std::atomic<int>> counts(100);
-        TaskGraph graph;
-        for (size_t i = 0; i < counts.size(); ++i)
-            graph.add([&counts, i] { ++counts[i]; });
         Scheduler scheduler(threads);
-        scheduler.runToCompletion(std::move(graph));
+        std::vector<Scheduler::Handle> handles;
+        for (size_t i = 0; i < counts.size(); ++i)
+            handles.push_back(
+                scheduler.submit([&counts, i] { ++counts[i]; }));
+        waitAll(handles);
         for (const std::atomic<int> &count : counts)
             EXPECT_EQ(count.load(), 1) << threads << " threads";
         EXPECT_EQ(scheduler.tasksRun(), counts.size());
@@ -71,11 +75,12 @@ TEST(Scheduler, DependenciesCompleteBeforeDependentsStart)
     std::vector<std::atomic<int>> started(kNodes);
     std::vector<std::atomic<int>> finished(kNodes);
 
-    TaskGraph graph;
-    std::vector<std::vector<TaskId>> layers(kLayers);
+    Scheduler scheduler(8);
+    std::vector<Scheduler::Handle> handles;
+    std::vector<std::vector<Scheduler::Handle>> layers(kLayers);
     for (size_t layer = 0; layer < kLayers; ++layer) {
         for (size_t w = 0; w < kWidth; ++w) {
-            std::vector<TaskId> deps;
+            std::vector<Scheduler::Handle> deps;
             if (layer > 0) {
                 // Depend on two nodes of the previous layer.
                 deps.push_back(layers[layer - 1][w]);
@@ -83,16 +88,16 @@ TEST(Scheduler, DependenciesCompleteBeforeDependentsStart)
                     layers[layer - 1][(w + 1) % kWidth]);
             }
             const size_t index = layer * kWidth + w;
-            layers[layer].push_back(graph.add(
+            layers[layer].push_back(scheduler.submit(
                 [&clock, &started, &finished, index] {
                     started[index] = ++clock;
                     finished[index] = ++clock;
                 },
                 deps));
+            handles.push_back(layers[layer].back());
         }
     }
-    Scheduler scheduler(8);
-    scheduler.runToCompletion(std::move(graph));
+    waitAll(handles);
 
     for (size_t layer = 1; layer < kLayers; ++layer) {
         for (size_t w = 0; w < kWidth; ++w) {
@@ -106,28 +111,6 @@ TEST(Scheduler, DependenciesCompleteBeforeDependentsStart)
     }
 }
 
-TEST(Scheduler, SerialScheduleRunsLowestReadyIdFirst)
-{
-    // One thread runs inline, always picking the lowest-id ready
-    // node: a dependent whose deps are met runs before later
-    // independent roots, so each work-order subgraph finishes
-    // before the next starts (this is what bounds a serial sweep's
-    // in-flight state to one point) and the schedule is exactly
-    // reproducible — the property the per-row memo-hit flags of a
-    // --threads 1 explore depend on.
-    std::vector<int> order;
-    TaskGraph graph;
-    for (int i = 0; i < 3; ++i) {
-        const TaskId head =
-            graph.add([&order, i] { order.push_back(i); });
-        graph.add([&order, i] { order.push_back(10 + i); },
-                  {head});
-    }
-    Scheduler scheduler(1);
-    scheduler.runToCompletion(std::move(graph));
-    EXPECT_EQ(order, (std::vector<int>{0, 10, 1, 11, 2, 12}));
-}
-
 // ----------------------------------------------- failure semantics
 
 TEST(Scheduler, FailedNodeSkipsDependentsAndRethrows)
@@ -136,18 +119,19 @@ TEST(Scheduler, FailedNodeSkipsDependentsAndRethrows)
         std::atomic<bool> independentRan{false};
         std::atomic<bool> dependentRan{false};
         std::atomic<bool> grandchildRan{false};
-        TaskGraph graph;
-        const TaskId bad = graph.add(
+        Scheduler scheduler(threads);
+        const Scheduler::Handle bad = scheduler.submit(
             [] { throw std::runtime_error("stage failed"); }, {},
             "bad");
-        const TaskId child = graph.add(
+        const Scheduler::Handle child = scheduler.submit(
             [&dependentRan] { dependentRan = true; }, {bad});
-        graph.add([&grandchildRan] { grandchildRan = true; },
-                  {child});
-        graph.add([&independentRan] { independentRan = true; });
-        Scheduler scheduler(threads);
-        EXPECT_THROW(scheduler.runToCompletion(std::move(graph)),
-                     std::runtime_error)
+        const std::vector<Scheduler::Handle> handles{
+            bad, child,
+            scheduler.submit(
+                [&grandchildRan] { grandchildRan = true; }, {child}),
+            scheduler.submit(
+                [&independentRan] { independentRan = true; })};
+        EXPECT_THROW(waitAll(handles), std::runtime_error)
             << threads;
         // Independent work still ran; the failed node's transitive
         // dependents never did.
@@ -230,19 +214,19 @@ TEST(SchedulerDedup, ExactlyOnceUnder32WayContention)
 #endif
     flow::MemoCache<uint64_t, int> cache;
     std::atomic<int> computations{0};
-    TaskGraph graph;
+    Scheduler scheduler(32);
+    std::vector<Scheduler::Handle> handles;
     for (int i = 0; i < kStages; ++i) {
-        graph.add([&cache, &computations, i] {
+        handles.push_back(scheduler.submit([&cache, &computations, i] {
             const uint64_t key = i % 8;
             const int value = cache.getOrCompute(key, [&] {
                 ++computations;
                 return static_cast<int>(key * 100);
             });
             EXPECT_EQ(value, static_cast<int>(key * 100));
-        });
+        }));
     }
-    Scheduler scheduler(32);
-    scheduler.runToCompletion(std::move(graph));
+    waitAll(handles);
     EXPECT_EQ(computations.load(), 8);
     EXPECT_EQ(cache.misses(), 8u);
     EXPECT_EQ(cache.hits(), uint64_t(kStages - 8));
@@ -288,19 +272,19 @@ TEST(SchedulerDedup, CosimFaultReachesEveryWaiterWithoutPoisoning)
     // computation; each either owns the throwing compute or waits
     // on it — all 16 must observe the exception, none may hang.
     std::atomic<int> failures{0};
-    TaskGraph batch;
+    Scheduler scheduler(8);
+    std::vector<Scheduler::Handle> batch;
     for (int i = 0; i < 16; ++i) {
-        batch.add([&] {
+        batch.push_back(scheduler.submit([&] {
             try {
                 caches.sim.getOrCompute(
                     key, [&] { return cosimStage(&fault); });
             } catch (const std::runtime_error &) {
                 ++failures;
             }
-        });
+        }));
     }
-    Scheduler scheduler(8);
-    scheduler.runToCompletion(std::move(batch));
+    waitAll(batch);
     EXPECT_EQ(failures.load(), 16);
     EXPECT_EQ(caches.sim.size(), 0u); // entry erased, not poisoned
 

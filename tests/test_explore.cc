@@ -193,17 +193,19 @@ TEST(Memo, ExactlyOnceAndCounted)
 {
     flow::MemoCache<uint64_t, int> cache;
     std::atomic<int> computions{0};
-    exec::TaskGraph graph;
+    exec::Scheduler scheduler(4);
+    std::vector<exec::Scheduler::Handle> handles;
     for (int i = 0; i < 40; ++i)
-        graph.add([&cache, &computions, i] {
+        handles.push_back(scheduler.submit([&cache, &computions, i] {
             const uint64_t key = i % 4;
             const int value = cache.getOrCompute(key, [&] {
                 ++computions;
                 return static_cast<int>(key * 10);
             });
             EXPECT_EQ(value, static_cast<int>(key * 10));
-        });
-    exec::Scheduler(4).runToCompletion(std::move(graph));
+        }));
+    for (const exec::Scheduler::Handle &handle : handles)
+        handle.wait();
     // 4 distinct keys: exactly 4 computations no matter the racing.
     EXPECT_EQ(computions.load(), 4);
     EXPECT_EQ(cache.misses(), 4u);
@@ -241,9 +243,10 @@ TEST(Memo, ConcurrentWaitersSeeTheExceptionThenRecover)
         // Round 1: every computation throws; each task either owns a
         // failing compute or waits on one — all must observe the
         // exception, none may hang.
-        exec::TaskGraph graph;
+        exec::Scheduler scheduler(4);
+        std::vector<exec::Scheduler::Handle> handles;
         for (int i = 0; i < 16; ++i)
-            graph.add([&] {
+            handles.push_back(scheduler.submit([&] {
                 try {
                     cache.getOrCompute(9, [&]() -> int {
                         ++attempts;
@@ -252,8 +255,9 @@ TEST(Memo, ConcurrentWaitersSeeTheExceptionThenRecover)
                 } catch (const std::runtime_error &) {
                     ++failures;
                 }
-            });
-        exec::Scheduler(4).runToCompletion(std::move(graph));
+            }));
+        for (const exec::Scheduler::Handle &handle : handles)
+            handle.wait();
     }
     EXPECT_EQ(failures.load(), 16);
     EXPECT_EQ(cache.size(), 0u);

@@ -755,6 +755,37 @@ TEST(FlowAsync, StageExceptionFoldsIntoAnInternalResponse)
     }
 }
 
+TEST(FlowAsync, ThrowingStoreFailsAnExploreAlikeAtOneAndFourThreads)
+{
+    // The serial sweep runs its stages on the caller, the parallel
+    // one on the scheduler; a throwing stage must settle both into
+    // the same Internal response.
+    ServiceOptions options;
+    options.artifacts = std::make_shared<ThrowingStore>();
+    const FlowService service(options);
+    std::vector<std::string> bodies;
+    for (unsigned threads : {1u, 4u}) {
+        ExploreRequest request;
+        request.planText = "mode cartesian\n"
+                           "workload crc32\n"
+                           "subset fit  = @crc32\n"
+                           "subset full = @full\n";
+        request.options.threads = threads;
+        std::promise<Response> settled;
+        service.dispatchAsync(request, [&settled](Response response) {
+            settled.set_value(std::move(response));
+        });
+        const Response response = settled.get_future().get();
+        const Status &status = responseStatus(response);
+        EXPECT_EQ(status.code(), ErrorCode::Internal) << threads;
+        EXPECT_NE(status.message().find("store exploded"),
+                  std::string::npos)
+            << status.toString();
+        bodies.push_back(toJson(response));
+    }
+    EXPECT_EQ(bodies[0], bodies[1]);
+}
+
 TEST(FlowSynth, FailedAppSweepStillSweepsTheBaselineInBothDisciplines)
 {
     // One stage table, one semantics: the baseline sweep does not

@@ -855,6 +855,72 @@ TEST(FlowServiceStore, WarmBootServesByteIdenticalTables)
     EXPECT_EQ(stats.writes, 0u) << "warm boot recomputed something";
 }
 
+TEST(FlowServiceStore, VerifyAndPhysicalKeyTheirOwnEntries)
+{
+    // `verify` changes the sim outcome and `physical` the synth
+    // outcome, so a sweep must never be served an entry written
+    // under the other value — neither from the memo tier of one
+    // service nor from one store across boots. Either order of
+    // either flag: the second sweep's table is a fresh service's.
+    flow::ExploreRequest base;
+    base.planText = "workload crc32\n"
+                    "subset fit  = @crc32\n"
+                    "subset full = @full\n";
+    base.options.threads = 1;
+    auto sweep = [](const flow::FlowService &service,
+                    const flow::ExploreRequest &request) {
+        const flow::ExploreResponse response = service.explore(request);
+        EXPECT_TRUE(response.status.isOk())
+            << response.status.toString();
+        return response.table.csv();
+    };
+    using Set = void (*)(explore::ExplorerOptions &, bool);
+    const std::pair<const char *, Set> flags[] = {
+        {"verify",
+         [](explore::ExplorerOptions &o, bool on) { o.verify = on; }},
+        {"physical",
+         [](explore::ExplorerOptions &o, bool on) { o.physical = on; }},
+    };
+    for (const auto &[name, set] : flags) {
+        for (const bool firstOn : {false, true}) {
+            const std::string where =
+                std::string(name) + (firstOn ? " on, then off"
+                                             : " off, then on");
+            flow::ExploreRequest first = base;
+            flow::ExploreRequest second = base;
+            set(first.options, firstOn);
+            set(second.options, !firstOn);
+            const std::string want =
+                sweep(flow::FlowService(), second);
+
+            const flow::FlowService service;
+            sweep(service, first);
+            const uint64_t simMisses = service.caches()->sim.misses();
+            const uint64_t synthMisses =
+                service.caches()->synth.misses();
+            EXPECT_EQ(sweep(service, second), want) << where;
+            // The second sweep computes its own entries.
+            const bool verifyFlag = std::string(name) == "verify";
+            EXPECT_GT(verifyFlag ? service.caches()->sim.misses()
+                                 : service.caches()->synth.misses(),
+                      verifyFlag ? simMisses : synthMisses)
+                << where;
+
+            TempDir tmp;
+            auto boot = [&tmp] {
+                flow::ServiceOptions options;
+                options.artifacts = openStore(tmp.path("store"));
+                return options;
+            };
+            sweep(flow::FlowService(boot()), first);
+            const flow::FlowService warm(boot());
+            EXPECT_EQ(sweep(warm, second), want) << where;
+            EXPECT_GT(warm.caches()->artifacts->stats().writes, 0u)
+                << where;
+        }
+    }
+}
+
 TEST(FlowServiceStore, CorruptionHealsThroughTheFullStack)
 {
     TempDir tmp;
